@@ -18,7 +18,7 @@ from .counting import (
 )
 from .cutplan import CutParams, CutSet, cut_set, derive_params, marker_word
 from .engine import SequenceSpec, VerifyReport, generate, verify
-from .ranking import enumerate_lyndon, rank_lyndon
+from .ranking import enumerate_lyndon, rank_lyndon, unrank_lyndon
 from .successor import (
     GeneratorState,
     binary_generator_state,
@@ -62,6 +62,7 @@ __all__ = [
     "period",
     "rank_lyndon",
     "rotate",
+    "unrank_lyndon",
     "verify",
     "weight",
 ]

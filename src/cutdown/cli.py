@@ -6,7 +6,8 @@ sequences use digit strings for alphabets up to size 10 and comma-separated
 decimals beyond that.
 
 Exit status: 0 on success, 1 when `verify` rejects its input, 2 for
-argument or range errors.
+argument or range errors, including a successor-mode start window that is
+not on the target cycle.
 """
 
 from __future__ import annotations

@@ -99,7 +99,8 @@ def count_lyndon(n: int, w: int, k: int) -> int:
     total = 0
     for i in divisors(gcd(n, w)):
         total += mobius(i) * count_strings(n // i, w // i, k)
-    assert total % n == 0
+    if total % n:
+        raise RuntimeError(f"Moebius sum {total} not divisible by n={n}")
     return total // n
 
 

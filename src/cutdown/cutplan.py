@@ -76,7 +76,8 @@ def derive_params(n: int, k: int, L: int) -> CutParams:
     t = -((base - L) // h)
 
     s = base + t * h - L
-    assert 0 <= s < h <= n
+    if not 0 <= s < h <= n:
+        raise RuntimeError(f"derived s={s}, h={h} violate 0 <= s < h <= n={n}")
     return CutParams(n=n, k=k, L=L, m=m, h=h, t=t, s=s)
 
 

@@ -32,7 +32,8 @@ class SequenceSpec:
     mode "counter" uses the stateful stepper (binary or k-ary); mode
     "successor" uses the context-free rule (binary only) and accepts an
     optional start window, defaulting to 0^(n-1) 1.  A successor-mode start
-    must be a window of the target cycle; elsewhere behaviour is undefined.
+    must be a window of the target cycle; ``generate`` raises ValueError
+    for any other window.
     """
 
     n: int
@@ -70,11 +71,17 @@ class VerifyReport:
 def generate(spec: SequenceSpec) -> Iterator[int]:
     """Stream the L symbols of the cut-down sequence described by ``spec``.
 
-    Range errors from parameter derivation propagate unchanged.
+    Range errors from parameter derivation propagate unchanged; a
+    successor-mode start window off the target cycle raises ValueError.
     """
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
     if spec.mode == "successor":
+        if spec.start is not None and not successor.on_target_cycle(
+                tuple(spec.start), params, cuts):
+            raise ValueError(
+                f"start window {''.join(map(str, spec.start))} is not on the "
+                f"target cycle for n={spec.n}, L={spec.L}")
         return _successor_symbols(params, cuts, spec.start)
     if spec.k == 2:
         return _binary_counter_symbols(params, cuts)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
-from .ranking import rank_lyndon
-from .words import Word, is_necklace, period
+from .ranking import unrank_lyndon
+from .words import Word, is_necklace, least_rotation, period
 
 
 def pcr3(word: Word) -> int:
@@ -165,18 +166,28 @@ def binary_step(state: GeneratorState) -> int:
     return a1
 
 
+@lru_cache(maxsize=16)
+def _threshold(params: CutParams) -> Word:
+    # tau: the smallest of the t largest Lyndon words of length h and weight
+    # m*h/n, i.e. the (N - t + 1)-th of all N of them
+    h, w = params.h, params.m * params.h // params.n
+    return unrank_lyndon(h, w, count_lyndon(h, w, 2) - params.t + 1)
+
+
 def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
     """Context-free successor for a binary cut-down sequence: the next symbol
     is a pure function of the current window.
 
     The t joined weight-m period-h cycles are pinned to the t
-    lexicographically largest Lyndon words of length h and weight m*h/n,
-    decided by ranking, so no joined-cycle counter is needed.  Defined for
-    windows of the target cycle; behaviour elsewhere is unspecified.
+    lexicographically largest Lyndon words of length h and weight m*h/n:
+    a cycle is joined when its Lyndon word is >= the threshold word tau,
+    unranked once per parameter set, so no joined-cycle counter is needed.
+    Defined for windows of the target cycle (``on_target_cycle``);
+    behaviour elsewhere is unspecified.
     """
     if params.k != 2:
         raise ValueError("the context-free successor requires k == 2")
-    n, m, h, t = params.n, params.m, params.h, params.t
+    m, h = params.m, params.h
     tail = word[1:]
     a1 = word[0]
     w = sum(word)
@@ -192,13 +203,35 @@ def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
         if p > h:
             x = 1 - x
         elif p == h:
-            # cand repeats its first h symbols; rank that aperiodic block
-            if count_lyndon(h, m * h // n, 2) - rank_lyndon(cand[:h]) + 1 > t:
+            # cand repeats its first h symbols, an aperiodic block
+            if least_rotation(cand[:h]) < _threshold(params):
                 x = 1 - x
 
     if tail + (x,) in cuts.markers:
         x = 1 - x
     return x
+
+
+def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
+    """Is ``word`` a window of the binary cycle that ``cut_down_successor``
+    traces?  Those are the windows of weight < m, of weight m and period
+    < h, and of weight m and period h whose period block has a Lyndon
+    rotation >= tau, less the windows of the small cycles the markers cut.
+    """
+    m, h = params.m, params.h
+    w = sum(word)
+    if w > m:
+        return False
+    if w == m:
+        p = period(word)
+        if p > h or (p == h and least_rotation(word[:h]) < _threshold(params)):
+            return False
+    for size in cuts.sizes:
+        cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)
+        if any(all(c == cycle[(i + j) % size] for i, c in enumerate(word))
+               for j in range(size)):
+            return False
+    return True
 
 
 def kary_generator_state(params: CutParams, cuts: CutSet) -> GeneratorState:

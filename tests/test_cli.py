@@ -5,6 +5,8 @@ import json
 import pytest
 
 from cutdown.cli import main
+from cutdown.ranking import unrank_lyndon
+from cutdown.words import least_rotation
 
 from refdata import CUT_N6_L46, CUT_N6_L52, DB_N3_K4
 
@@ -40,6 +42,14 @@ def test_generate_successor_mode(capsys):
                            "--mode", "successor", "--start", "000001")
     assert code == 0
     assert len(out.strip()) == 46
+
+
+def test_generate_successor_off_cycle_start_exit_2(capsys):
+    code, out, err = run_cli(capsys, "generate", "--n", "6", "--len", "46",
+                             "--mode", "successor", "--start", "111111")
+    assert code == 2
+    assert out == ""
+    assert "not on the target cycle" in err
 
 
 def test_generate_range_error_exit_2(capsys):
@@ -118,6 +128,20 @@ def test_rank(capsys):
     code, out, _ = run_cli(capsys, "rank", "000101")
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_rank_64_bit_word(capsys):
+    word = "0010111010011101" * 3 + "0110100111010110"
+    code, out, _ = run_cli(capsys, "rank", word)
+    assert code == 0
+    assert unrank_lyndon(64, word.count("1"), int(out)) == \
+        least_rotation(tuple(map(int, word)))
+
+
+def test_rank_symbol_outside_alphabet_exit_2(capsys):
+    code, _, err = run_cli(capsys, "rank", "0102")
+    assert code == 2
+    assert "word over" in err
 
 
 def test_rank_periodic_input_exit_2(capsys):

@@ -1,6 +1,7 @@
 """Generation engine and verifier."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,42 @@ def test_generate_successor_mode_custom_start():
     assert verify(seq, 6, 2, expected_len=40).ok
     canon = {tuple((base + base)[i:i + 40]) for i in range(40)}
     assert tuple(seq) in canon
+
+
+def test_successor_start_accepted_iff_on_the_cycle():
+    # every window of every length: generate accepts exactly the windows
+    # the default start visits, and rejects the rest before emitting
+    for n in range(2, 9):
+        for L in range(2 ** (n - 1) + 1, 2 ** n + 1):
+            cycle = collect(SequenceSpec(n=n, k=2, L=L, mode="successor"))
+            visited = {tuple((cycle + cycle)[i:i + n]) for i in range(L)}
+            for start in itertools.product((0, 1), repeat=n):
+                spec = SequenceSpec(n=n, k=2, L=L, mode="successor",
+                                    start=start)
+                if start in visited:
+                    generate(spec)
+                else:
+                    with pytest.raises(ValueError, match="target cycle"):
+                        generate(spec)
+
+
+@pytest.mark.parametrize("n, L", [
+    (30, 2 ** 30),
+    (30, 3 * 2 ** 28),  # h == n: tau is one of 3,991,995 Lyndon words
+    (60, 3 * 2 ** 58),
+])
+def test_successor_mode_streams_in_bounded_memory(n, L):
+    tracemalloc.start()
+    try:
+        head = list(itertools.islice(
+            generate(SequenceSpec(n=n, k=2, L=L, mode="successor")), 10 ** 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    assert head[:n] == [0] * (n - 1) + [1]
+    windows = {tuple(head[i:i + n]) for i in range(len(head) - n + 1)}
+    assert len(windows) == len(head) - n + 1
 
 
 def test_spec_validation():

@@ -3,9 +3,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cutdown.counting import count_lyndon
-from cutdown.ranking import enumerate_lyndon, rank_lyndon
+from cutdown.ranking import enumerate_lyndon, rank_lyndon, unrank_lyndon
 from cutdown.words import is_necklace, least_rotation, period, rotate
 
 from refdata import to_word
@@ -25,6 +27,21 @@ def test_rank_rejects_periodic_words():
         rank_lyndon(to_word("010101"))
     with pytest.raises(ValueError):
         rank_lyndon(to_word("0000"))
+
+
+def test_rank_rejects_symbols_outside_the_alphabet():
+    with pytest.raises(ValueError, match="word over"):
+        rank_lyndon(to_word("0102"))
+    with pytest.raises(ValueError, match="word over"):
+        rank_lyndon((), 2)
+
+
+@pytest.mark.parametrize("n, w, r", [
+    (6, 2, 0), (6, 2, 3), (6, 7, 1), (6, -1, 1), (1, 2, 1),
+])
+def test_unrank_rejects_out_of_range_ranks(n, w, r):
+    with pytest.raises(ValueError, match="out of range"):
+        unrank_lyndon(n, w, r)
 
 
 @pytest.mark.parametrize("n, w, k, expected", [
@@ -67,6 +84,24 @@ def test_rank_agrees_with_enumeration_binary(n):
         assert rank_lyndon(word) == tables[w][least_rotation(word)]
 
 
+@pytest.mark.parametrize("n, k", [(n, 2) for n in range(1, 15)]
+                         + [(n, 3) for n in range(1, 9)])
+def test_rank_and_unrank_walk_the_listing(n, k):
+    for w in range((k - 1) * n + 1):
+        for r, word in enumerate(enumerate_lyndon(n, w, k), start=1):
+            assert rank_lyndon(word, k) == r
+            assert unrank_lyndon(n, w, r, k) == word
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
+def test_unrank_inverts_rank(symbols):
+    word = tuple(symbols)
+    assume(period(word) == len(word))
+    r = rank_lyndon(word)
+    assert unrank_lyndon(len(word), sum(word), r) == least_rotation(word)
+
+
 def test_rank_agrees_with_enumeration_kary():
     for k in (3, 4):
         for word in product(range(k), repeat=4):
@@ -88,7 +123,8 @@ def test_rank_is_rotation_invariant():
 
 def test_largest_rank_selection_matches_tail_of_listing():
     # the "t lexicographically largest" test used by the successor rule:
-    # count - rank + 1 <= t holds exactly for the last t listing entries
+    # count - rank + 1 <= t, and equally word >= tau for the threshold
+    # word tau of rank count - t + 1, hold exactly for the last t entries
     n, w = 8, 4
     listing = enumerate_lyndon(n, w, 2)
     total = count_lyndon(n, w, 2)
@@ -96,3 +132,6 @@ def test_largest_rank_selection_matches_tail_of_listing():
         chosen = [s for s in listing
                   if total - rank_lyndon(s) + 1 <= t]
         assert chosen == listing[total - t:]
+        if t:
+            tau = unrank_lyndon(n, w, total - t + 1)
+            assert [s for s in listing if s >= tau] == chosen
