@@ -1,7 +1,7 @@
 """The context-free successor: next symbol from the current window alone.
 
-The counter-based stepper must start at a fixed window and carry a counter
-of joined cycles.  The successor rule needs no context: drop into the cycle
+The counter rule must start at a fixed window and carry a count of joined
+cycles.  The successor rule needs no context: drop into the cycle
 at any window and step; every start yields the same cyclic sequence.
 """
 

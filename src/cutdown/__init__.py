@@ -3,9 +3,10 @@
 A cut-down de Bruijn sequence is a cyclic k-ary sequence of length L, with
 k^(n-1) < L <= k^n, in which every length-n window occurs at most once.
 This package generates them by cycle joining over the pure cycling register
-(stateful steppers for k = 2 and k > 2, plus a context-free successor rule
-for k = 2), and provides the supporting counting, ranking and verification
-machinery.
+(one rule for k = 2 and one for k > 2, each joining t of the weight-m
+period-h cycles: the first t met, or for k = 2 alternatively the t with the
+largest Lyndon words, which makes the successor context-free), and provides
+the supporting counting, ranking and verification machinery.
 """
 
 from .counting import (
@@ -19,27 +20,14 @@ from .counting import (
 from .cutplan import CutParams, CutSet, cut_set, derive_params, marker_word
 from .engine import SequenceSpec, VerifyReport, generate, verify
 from .ranking import enumerate_lyndon, rank_lyndon, unrank_lyndon
-from .successor import (
-    GeneratorState,
-    binary_generator_state,
-    binary_step,
-    cut_down_successor,
-    kary_generator_state,
-    kary_step,
-    mc_step,
-    pcr3,
-    pcr3_alt,
-)
+from .successor import cut_down_successor, mc_step, pcr3, pcr3_alt
 from .words import is_necklace, least_rotation, period, rotate, weight
 
 __all__ = [
     "CutParams",
     "CutSet",
-    "GeneratorState",
     "SequenceSpec",
     "VerifyReport",
-    "binary_generator_state",
-    "binary_step",
     "count_lyndon",
     "count_strings",
     "count_weight_at_most",
@@ -51,8 +39,6 @@ __all__ = [
     "enumerate_lyndon",
     "generate",
     "is_necklace",
-    "kary_generator_state",
-    "kary_step",
     "least_rotation",
     "marker_word",
     "mc_step",

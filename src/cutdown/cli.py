@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="target length, k^(n-1) < L <= k^n")
     gen.add_argument("--mode", choices=("counter", "successor"),
                      default="counter",
-                     help="counter: stateful stepper (any k); successor: "
-                          "context-free rule (k=2 only)")
+                     help="counter: join the first t cycles met (any k); "
+                          "successor: context-free rule (k=2 only)")
     gen.add_argument("--start", help="start window for successor mode")
     gen.add_argument("--format", choices=("digits", "csv"),
                      help="output format (default digits for k <= 10)")

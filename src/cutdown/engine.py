@@ -1,11 +1,11 @@
-"""Drive a stepping rule to stream a cut-down sequence; verify candidates.
+"""Drive the cut-down rules to stream a sequence; verify candidates.
 
 ``generate`` yields symbols one at a time and keeps only O(n) state, so
-arbitrarily long sequences stream without being materialized.  The binary
-counter mode runs on a packed-integer inner loop (one machine word holds the
-whole window for n <= 63 and a Python big int beyond); it implements exactly
-the same rule as ``successor.binary_step``, which the test suite checks by
-exhaustive output comparison.
+arbitrarily long sequences stream without being materialized.  Both binary
+modes run one packed-integer loop (a machine word holds the window for
+n <= 63, a Python big int beyond) implementing ``successor.binary_next``;
+a mode picks only the join decision and the start window.  The test suite
+checks the loop against the tuple rule by exhaustive output comparison.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
-from .words import Word
+from .words import Word, pack
 
 _CHUNK = 8192
 
@@ -29,11 +29,11 @@ _CHUNK = 8192
 class SequenceSpec:
     """What to generate: order, alphabet, length, and which rule drives it.
 
-    mode "counter" uses the stateful stepper (binary or k-ary); mode
-    "successor" uses the context-free rule (binary only) and accepts an
-    optional start window, defaulting to 0^(n-1) 1.  A successor-mode start
-    must be a window of the target cycle; ``generate`` raises ValueError
-    for any other window.
+    mode "counter" joins the first t weight-m period-h cycles met (binary or
+    k-ary); mode "successor" uses the context-free rule (binary only) and
+    accepts an optional start window, defaulting to 0^(n-1) 1.  A
+    successor-mode start must be a window of the target cycle; ``generate``
+    raises ValueError for any other window.
     """
 
     n: int
@@ -76,45 +76,40 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
     """
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
-    if spec.mode == "successor":
-        if spec.start is not None and not successor.on_target_cycle(
-                tuple(spec.start), params, cuts):
-            raise ValueError(
-                f"start window {''.join(map(str, spec.start))} is not on the "
-                f"target cycle for n={spec.n}, L={spec.L}")
-        return _successor_symbols(params, cuts, spec.start)
-    if spec.k == 2:
-        return _binary_counter_symbols(params, cuts)
-    return _kary_counter_symbols(params, cuts)
+    if spec.k != 2:
+        return _kary_symbols(params, cuts)
+    if spec.mode == "counter":
+        return _binary_symbols(params, cuts, 1, successor.counter_join(params))
+    if spec.start is None:
+        start = 1  # 0^(n-1) 1
+    elif successor.on_target_cycle(tuple(spec.start), params, cuts):
+        start = pack(spec.start)
+    else:
+        raise ValueError(
+            f"start window {''.join(map(str, spec.start))} is not on the "
+            f"target cycle for n={spec.n}, L={spec.L}")
+    return _binary_symbols(params, cuts, start,
+                           successor.threshold_join(params))
 
 
-def _pack(word: Word) -> int:
-    value = 0
-    for c in word:
-        value = (value << 1) | c
-    return value
-
-
-def _binary_counter_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
-    # Inlined binary_step on packed ints.  The necklace probe of
-    # word[1:] + (1,) is a single early-exit scan; when it fails (the common
-    # case) the next symbol repeats the first one, no guard can fire, and
-    # the step costs O(1) beyond the scan.  When the probe succeeds its
-    # period doubles as the candidate period needed by the guards, so no
-    # separate period pass is ever taken.
-    n, L, m, h, t = params.n, params.L, params.m, params.h, params.t
+def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
+                    joins: successor.Join) -> Iterator[int]:
+    # successor.binary_next on packed ints, oldest symbol in the MSB.  The
+    # necklace probe of word[1:] + (1,) is a single early-exit scan; when it
+    # fails (the common case) the next symbol repeats the first one, no guard
+    # can fire, and the step costs O(1) beyond the scan.  When the probe
+    # succeeds its period doubles as the candidate period needed by the
+    # guards, so no separate period pass is ever taken.
+    n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
-    markers = [_pack(w) for w in cuts.markers]
+    markers = [pack(w) for w in cuts.markers]
     r1 = markers[0] if len(markers) > 0 else -1
     r2 = markers[1] if len(markers) > 1 else -1
-    flag = n == 2 * m - 1
-    special = _pack((0, 1) * (m - 1) + (1,)) if flag else -1
     # tails[i] keeps the probe bits at positions >= i (position 0 = MSB)
     tails = [(1 << (n - i)) - 1 for i in range(n + 1)]
-    alpha = 1  # 0^(n-1) 1
-    w = 1
-    tprime = 0
+    alpha = start
+    w = start.bit_count()
     buf: list[int] = []
     append = buf.append
     remaining = L
@@ -156,15 +151,8 @@ def _binary_counter_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
                 elif cw == m and w == m - 1:
                     # x == 1 here, so the candidate is the probe itself and
                     # p is its period
-                    if p > h:
+                    if p > h or (p == h and not joins(shifted | 1)):
                         x = 0
-                    elif p == h:
-                        if flag and (shifted | 1) == special:
-                            flag = False
-                        if tprime == t or (tprime + 1 == t and flag):
-                            x = 0
-                        else:
-                            tprime += 1
                 cand = shifted | x
                 if cand == r1 or cand == r2:
                     x = 1 - x
@@ -183,20 +171,15 @@ def _binary_counter_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
         buf.clear()
 
 
-def _kary_counter_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
-    state = successor.kary_generator_state(params, cuts)
-    for _ in range(params.L):
-        yield successor.kary_step(state)
-
-
-def _successor_symbols(params: CutParams, cuts: CutSet,
-                       start: Word | None) -> Iterator[int]:
-    n = params.n
-    alpha = tuple(start) if start is not None else (0,) * (n - 1) + (1,)
+def _kary_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
+    # successor.kary_step is looked up on the module at every call, so a
+    # wrapper installed there sees each step
+    joins = successor.counter_join(params)
+    zero = (0,) * params.n
+    alpha = zero[1:] + (successor.kary_step(zero, params, cuts, joins),)
     for _ in range(params.L):
         yield alpha[0]
-        x = successor.cut_down_successor(alpha, params, cuts)
-        alpha = alpha[1:] + (x,)
+        alpha = alpha[1:] + (successor.kary_step(alpha, params, cuts, joins),)
 
 
 def verify(seq: Iterable[int], n: int, k: int,
@@ -205,8 +188,10 @@ def verify(seq: Iterable[int], n: int, k: int,
 
     All len(seq) cyclic length-n windows (including wraparound) must be
     pairwise distinct and every symbol must lie in [0, k).  Failures are
-    reported, not raised.
+    reported, not raised; n < 1 or k < 2 raises ValueError.
     """
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
     symbols: Sequence[int] = seq if isinstance(seq, (list, tuple)) else list(seq)
     length = len(symbols)
     if length < 1:

@@ -1,26 +1,26 @@
-"""Feedback functions and stepping rules for cut-down de Bruijn sequences.
+"""Feedback functions and the cut-down rules for cut-down de Bruijn sequences.
 
 Everything operates on words as tuples of ints (first symbol = oldest).
 ``pcr3`` / ``pcr3_alt`` are the underlying de Bruijn successors for the pure
 cycling register (binary / k-ary); ``mc_step`` restricts either to an
-arbitrary window set; the stateful steppers and the context-free
-``cut_down_successor`` produce cut-down sequences of any target length.
-
-The steppers mutate their GeneratorState in place and return the emitted
-symbol; a state must be driven from a single thread.  The pure functions
-here are safe to share.
+arbitrary window set.  The cut-down rules ``binary_next`` and ``kary_step``
+take a *join decision* for the weight-m period-h cycles: ``counter_join``
+(the first t met; it counts, so one pass from the start) or, for k = 2,
+``threshold_join`` (Lyndon word >= tau; stateless), which makes
+``cut_down_successor`` context-free.  These tuple rules are the readable
+reference for the packed loop in ``engine``.  A ``counter_join`` must be
+driven from a single thread; everything else here is safe to share.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
 from .ranking import unrank_lyndon
-from .words import Word, is_necklace, least_rotation, period
+from .words import Word, is_necklace, pack, period
 
 
 def pcr3(word: Word) -> int:
@@ -94,99 +94,70 @@ def mc_step(word: Word, member: Callable[[Word], bool], k: int = 2) -> int:
     raise ValueError(f"no successor of {word} stays in the set")
 
 
-@dataclass
-class GeneratorState:
-    """Mutable stepping context for the counter-based generators."""
-
-    alpha: Word
-    params: CutParams
-    cuts: CutSet
-    t_prime: int = 0
-    flag: bool = False
-    _markers: frozenset[Word] = field(default_factory=frozenset)
-    _special: Word | None = None
+Join = Callable[[int], bool]
 
 
-def binary_generator_state(params: CutParams, cuts: CutSet) -> GeneratorState:
-    """Initial state for the binary cut-down stepper: alpha = 0^(n-1) 1, with
-    the special-cycle flag armed when n == 2m-1 (the one case where a
-    specific period-n cycle must be among the t joined cycles)."""
-    if params.k != 2:
-        raise ValueError("binary stepper requires k == 2")
-    n, m = params.n, params.m
-    flag = n == 2 * m - 1
-    special = (0, 1) * (m - 1) + (1,) if flag else None
-    return GeneratorState(
-        alpha=(0,) * (n - 1) + (1,),
-        params=params,
-        cuts=cuts,
-        t_prime=0,
-        flag=flag,
-        _markers=frozenset(cuts.markers),
-        _special=special,
-    )
+def counter_join(params: CutParams) -> Join:
+    """Join decision of the counter algorithms: join the first t weight-m
+    period-h cycles met, counting them (t') in the returned ``joins``.
 
-
-def binary_step(state: GeneratorState) -> int:
-    """Emit one symbol of the binary cut-down sequence and advance the state.
-
-    The candidate window is re-derived after every adjustment of the next
-    symbol, so the final marker test always sees the window actually about
-    to be entered.
+    When k == 2 and n == 2m-1 the cycle of (01)^(m-1) 1 must be among them,
+    so the last slot stays reserved until ``joins`` sees that candidate,
+    packed as in ``pack``; for k > 2 ``cand`` is never read.
     """
-    alpha = state.alpha
-    params = state.params
-    m, h, t = params.m, params.h, params.t
-    tail = alpha[1:]
-    a1 = alpha[0]
-    w = sum(alpha)
+    t = params.t
+    reserved = params.k == 2 and params.n == 2 * params.m - 1
+    special = pack((0, 1) * (params.m - 1) + (1,)) if reserved else -1
+    joined = 0
 
-    x = pcr3(alpha)
-    cw = w - a1 + x
-    if w == m and cw == m + 1:
-        # block the branch onto a heavier cycle; stay on the current one
-        x = 1 - x
-    elif w == m - 1 and cw == m:
-        cand = tail + (x,)
-        p = period(cand)
-        if p > h:
-            x = 1 - x
-        elif p == h:
-            if cand == state._special:
-                state.flag = False
-            if state.t_prime == t or (state.t_prime + 1 == t and state.flag):
-                x = 1 - x
-            else:
-                state.t_prime += 1
+    def joins(cand: int) -> bool:
+        nonlocal joined, reserved
+        if reserved and cand == special:
+            reserved = False
+        if joined == t or (reserved and joined + 1 == t):
+            return False
+        joined += 1
+        return True
 
-    if tail + (x,) in state._markers:
-        x = 1 - x
-
-    state.alpha = tail + (x,)
-    return a1
+    return joins
 
 
 @lru_cache(maxsize=16)
-def _threshold(params: CutParams) -> Word:
-    # tau: the smallest of the t largest Lyndon words of length h and weight
-    # m*h/n, i.e. the (N - t + 1)-th of all N of them
+def _tau(params: CutParams) -> int:
     h, w = params.h, params.m * params.h // params.n
-    return unrank_lyndon(h, w, count_lyndon(h, w, 2) - params.t + 1)
+    return pack(unrank_lyndon(h, w, count_lyndon(h, w, 2) - params.t + 1))
 
 
-def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
-    """Context-free successor for a binary cut-down sequence: the next symbol
-    is a pure function of the current window.
+def threshold_join(params: CutParams) -> Join:
+    """Join decision of the context-free rule (k == 2): join the t weight-m
+    period-h cycles with the largest Lyndon words of length h and weight
+    m*h/n, which are those >= tau, the (N - t + 1)-th of all N of them.
 
-    The t joined weight-m period-h cycles are pinned to the t
-    lexicographically largest Lyndon words of length h and weight m*h/n:
-    a cycle is joined when its Lyndon word is >= the threshold word tau,
-    unranked once per parameter set, so no joined-cycle counter is needed.
-    Defined for windows of the target cycle (``on_target_cycle``);
-    behaviour elsewhere is unspecified.
+    ``joins(cand)`` takes a period-h window packed as in ``pack`` and
+    compares the least rotation of its first h bits with tau, which is
+    unranked on first use and cached per parameter set.
     """
-    if params.k != 2:
-        raise ValueError("the context-free successor requires k == 2")
+    def joins(cand: int) -> bool:
+        # all work happens here: cut_down_successor builds a join per window
+        h = params.h
+        block = cand >> (params.n - h)
+        low = (1 << h) - 1
+        return min((block << i | block >> (h - i)) & low
+                   for i in range(h)) >= _tau(params)
+
+    return joins
+
+
+def binary_next(word: Word, params: CutParams, cuts: CutSet,
+                joins: Join) -> int:
+    """Next symbol after ``word`` on the binary cut-down cycle.
+
+    Starting from ``pcr3``, the rule stays below weight m + 1, never joins
+    a weight-m cycle of period > h, asks ``joins`` about each weight-m
+    cycle of period h it reaches from below, and finally redirects at the
+    markers.  The candidate window is re-derived after each adjustment, so
+    the marker test sees the window actually about to be entered.
+    """
     m, h = params.m, params.h
     tail = word[1:]
     a1 = word[0]
@@ -195,28 +166,37 @@ def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
     x = pcr3(word)
     cw = w - a1 + x
     if w > m or (w == m and cw == m + 1):
-        # w > m cannot occur on the cycle; kept as a defensive complement
+        # block the branch onto a heavier cycle; w > m is off every cycle
         x = 1 - x
     elif w == m - 1 and cw == m:
         cand = tail + (x,)
         p = period(cand)
-        if p > h:
+        if p > h or (p == h and not joins(pack(cand))):
             x = 1 - x
-        elif p == h:
-            # cand repeats its first h symbols, an aperiodic block
-            if least_rotation(cand[:h]) < _threshold(params):
-                x = 1 - x
 
     if tail + (x,) in cuts.markers:
         x = 1 - x
     return x
 
 
+def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
+    """Context-free successor for a binary cut-down sequence: the next symbol
+    is a pure function of the current window.
+
+    This is ``binary_next`` with ``threshold_join``, so no joined-cycle
+    counter is needed.  Defined for windows of the target cycle
+    (``on_target_cycle``); behaviour elsewhere is unspecified.
+    """
+    if params.k != 2:
+        raise ValueError("the context-free successor requires k == 2")
+    return binary_next(word, params, cuts, threshold_join(params))
+
+
 def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
     """Is ``word`` a window of the binary cycle that ``cut_down_successor``
     traces?  Those are the windows of weight < m, of weight m and period
-    < h, and of weight m and period h whose period block has a Lyndon
-    rotation >= tau, less the windows of the small cycles the markers cut.
+    < h, and of weight m and period h whose cycle ``threshold_join`` joins,
+    less the windows of the small cycles the markers cut.
     """
     m, h = params.m, params.h
     w = sum(word)
@@ -224,7 +204,7 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
         return False
     if w == m:
         p = period(word)
-        if p > h or (p == h and least_rotation(word[:h]) < _threshold(params)):
+        if p > h or (p == h and not threshold_join(params)(pack(word))):
             return False
     for size in cuts.sizes:
         cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)
@@ -234,71 +214,40 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
     return True
 
 
-def kary_generator_state(params: CutParams, cuts: CutSet) -> GeneratorState:
-    """Initial state for the k-ary cut-down stepper (k > 2).
+def kary_step(word: Word, params: CutParams, cuts: CutSet,
+              joins: Join) -> int:
+    """Next symbol after ``word`` on the k-ary (k > 2) cut-down cycle, with
+    ``joins`` from ``counter_join``.
 
-    The start window is the successor of the all-zero window under the full
-    stepping rule, computed by one silent step from 0^n.  When k-1 < m this
-    is exactly 0^(n-1)(k-1); for small orders with k-1 >= m that window is
-    too heavy to lie on the main cycle and the silent step lands on the
-    correct weight-capped start instead (possibly consuming a joined-cycle
-    slot, which the silent step records in t_prime).
+    The sequence starts one step after 0^n: usually at 0^(n-1)(k-1), but
+    for small orders with k-1 >= m that window is too heavy for the main
+    cycle and the step lands on the weight-capped start (possibly using a
+    join).
     """
-    if params.k <= 2:
-        raise ValueError("k-ary stepper requires k > 2")
-    n = params.n
-    state = GeneratorState(
-        alpha=(0,) * n,
-        params=params,
-        cuts=cuts,
-        t_prime=0,
-        flag=False,
-        _markers=frozenset(cuts.markers),
-    )
-    x = _kary_next_symbol(state, (0,) * n, 0)
-    state.alpha = (0,) * (n - 1) + (x,)
-    return state
+    k, m, h = params.k, params.m, params.h
+    a1 = word[0]
+    tail = word[1:]
+    w = sum(word)
 
-
-def _kary_next_symbol(state: GeneratorState, alpha: Word, w: int) -> int:
-    params = state.params
-    k, m, h, t = params.k, params.m, params.h, params.t
-    a1 = alpha[0]
-    tail = alpha[1:]
-
-    x = pcr3_alt(alpha, k)
+    x = pcr3_alt(word, k)
     if w - a1 + x >= m:
         if w == m:
             # weight cap degenerates to the in-cycle rotation; the period and
-            # joined-cycle tests apply only when arriving from below
+            # join tests apply only when arriving from below
             x = a1
         else:
             x = m - w + a1
             cand = tail + (x,)
             p = period(cand)
-            if p > h:
+            if p > h or (p == h and not joins(cand)):
                 x -= 1
-            elif p == h:
-                if state.t_prime == t:
-                    x -= 1
-                else:
-                    state.t_prime += 1
 
     cand = tail + (x,)
-    if cand in state._markers:
+    if cand in cuts.markers:
         if any(cand):
             x = 0
         else:
             # cutting the all-zero cycle: splice straight to the successor
             # the rule would pick at 0^n (not always symbol 0 for k > 2)
-            x = _kary_next_symbol(state, cand, 0)
+            x = kary_step(cand, params, cuts, joins)
     return x
-
-
-def kary_step(state: GeneratorState) -> int:
-    """Emit one symbol of the k-ary (k > 2) cut-down sequence and advance."""
-    alpha = state.alpha
-    a1 = alpha[0]
-    x = _kary_next_symbol(state, alpha, sum(alpha))
-    state.alpha = alpha[1:] + (x,)
-    return a1

@@ -23,6 +23,15 @@ def weight(word: Sequence[int]) -> int:
     return sum(word)
 
 
+def pack(word: Sequence[int]) -> int:
+    """The binary ``word`` as an int, first symbol in the most significant
+    bit, so that comparing packed words of equal length compares the words."""
+    value = 0
+    for c in word:
+        value = (value << 1) | c
+    return value
+
+
 def rotate(word: Sequence[int], j: int) -> Word:
     """Left rotation by ``j``: rotate((a1,...,an), 1) == (a2,...,an,a1)."""
     j %= len(word)

@@ -33,3 +33,13 @@ def to_symbols(text):
 
 def rotations(seq):
     return [seq[i:] + seq[:i] for i in range(len(seq))]
+
+
+def iterate(word, fn, steps):
+    """Step ``word`` through ``fn`` (window -> next symbol) ``steps`` times;
+    return the emitted first symbols and the final window."""
+    out = []
+    for _ in range(steps):
+        out.append(word[0])
+        word = word[1:] + (fn(word),)
+    return out, word

@@ -99,6 +99,14 @@ def test_verify_rejects_duplicate(capsys, monkeypatch):
     assert payload["first_duplicate"] == {"window": "000", "positions": [4, 5]}
 
 
+def test_verify_bad_order_exit_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "verify", "--n", "0", stdin="011",
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "n >= 1" in err
+
+
 def test_verify_reads_file(capsys, tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(CUT_N6_L46 + "\n")

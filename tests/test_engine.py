@@ -4,12 +4,27 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import SequenceSpec, generate, verify
-from cutdown.successor import binary_generator_state, binary_step
+from cutdown.successor import (
+    binary_next,
+    counter_join,
+    cut_down_successor,
+    on_target_cycle,
+    threshold_join,
+)
 
-from refdata import CUT_N6_L46, CUT_N6_L52, DB_N3_K4, DB_N6_K2, to_symbols
+from refdata import (
+    CUT_N6_L46,
+    CUT_N6_L52,
+    DB_N3_K4,
+    DB_N6_K2,
+    iterate,
+    to_symbols,
+)
 
 
 def collect(spec):
@@ -114,14 +129,61 @@ def test_generate_verify_round_trip_binary(n):
 
 
 def test_fast_loop_equals_stepper_everywhere():
-    # packed-int engine loop vs the tuple-based reference stepper
+    # packed-int engine loop vs the tuple rule with counter_join
     for n in range(2, 10):
         for L in range(2 ** (n - 1) + 1, 2 ** n + 1):
             params = derive_params(n, 2, L)
             cuts = cut_set(params.s, n)
-            state = binary_generator_state(params, cuts)
-            stepped = [binary_step(state) for _ in range(L)]
+            joins = counter_join(params)
+            stepped, _ = iterate((0,) * (n - 1) + (1,),
+                                 lambda w: binary_next(w, params, cuts, joins),
+                                 L)
             assert stepped == collect(SequenceSpec(n=n, k=2, L=L)), (n, L)
+
+
+def test_successor_mode_equals_the_tuple_rule_everywhere():
+    # packed engine loop vs iterating cut_down_successor, from five windows
+    # of the cycle; the rule is a pure function of the window, so once the
+    # reference run closes its cycle, the run from its i-th window is its
+    # rotation by i
+    for n in range(2, 11):
+        for L in range(2 ** (n - 1) + 1, 2 ** n + 1):
+            params = derive_params(n, 2, L)
+            cuts = cut_set(params.s, n)
+            first = (0,) * (n - 1) + (1,)
+            ref, last = iterate(
+                first, lambda w: cut_down_successor(w, params, cuts), L)
+            assert last == first, (n, L)
+            doubled = ref + ref
+            for i in {0, 1, L // 3, L // 2, L - 1}:
+                spec = SequenceSpec(n=n, k=2, L=L, mode="successor",
+                                    start=tuple(doubled[i:i + n]))
+                assert collect(spec) == doubled[i:i + L], (n, L, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_loop_equals_tuple_rule_at_large_n(data):
+    # first 2000 symbols; successor runs start at a random window of weight
+    # m - 1, from where the period-h join branch is soon reached
+    n = data.draw(st.integers(20, 64), label="n")
+    L = data.draw(st.integers(2 ** (n - 1) + 1, 2 ** n), label="L")
+    mode = data.draw(st.sampled_from(["counter", "successor"]), label="mode")
+    params = derive_params(n, 2, L)
+    cuts = cut_set(params.s, n)
+    if mode == "counter":
+        alpha, start, joins = (0,) * (n - 1) + (1,), None, counter_join(params)
+    else:
+        ones = data.draw(st.sets(st.integers(0, n - 1), min_size=params.m - 1,
+                                 max_size=params.m - 1), label="ones")
+        alpha = start = tuple(int(i in ones) for i in range(n))
+        if not on_target_cycle(start, params, cuts):
+            alpha, start = (0,) * (n - 1) + (1,), None
+        joins = threshold_join(params)
+    ref, _ = iterate(alpha, lambda w: binary_next(w, params, cuts, joins),
+                     2000)
+    spec = SequenceSpec(n=n, k=2, L=L, mode=mode, start=start)
+    assert list(itertools.islice(generate(spec), 2000)) == ref
 
 
 def test_full_length_window_sets_complete():
@@ -173,6 +235,13 @@ def test_verify_shorter_than_window():
     report = verify([0, 0], 3, 2)
     assert not report.ok  # cyclic windows 000 at positions 1 and 2
     assert report.first_duplicate == ((0, 0, 0), (1, 2))
+
+
+def test_verify_rejects_bad_order_or_alphabet():
+    with pytest.raises(ValueError, match="n >= 1"):
+        verify([0, 1, 1], 0, 2)
+    with pytest.raises(ValueError, match="k >= 2"):
+        verify([0, 0], 2, 1)
 
 
 def test_verify_rejects_empty():

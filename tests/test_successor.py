@@ -7,26 +7,26 @@ import pytest
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import verify
 from cutdown.successor import (
-    binary_generator_state,
-    binary_step,
+    binary_next,
+    counter_join,
     cut_down_successor,
-    kary_generator_state,
     kary_step,
     mc_step,
     pcr3,
     pcr3_alt,
+    threshold_join,
 )
 from cutdown.words import is_necklace, period, rotate, weight
 
-from refdata import CUT_N6_L46, DB_N3_K4, DB_N6_K2, MC_N6_L46, rotations, to_word
-
-
-def iterate(word, fn, steps):
-    out = []
-    for _ in range(steps):
-        out.append(word[0])
-        word = word[1:] + (fn(word),)
-    return out, word
+from refdata import (
+    CUT_N6_L46,
+    DB_N3_K4,
+    DB_N6_K2,
+    MC_N6_L46,
+    iterate,
+    rotations,
+    to_word,
+)
 
 
 # --- pcr3 ---------------------------------------------------------------
@@ -147,27 +147,14 @@ def test_mc_step_kary_picks_largest_member():
     assert mc_step((0, 0, 3), member, 4) == 1
 
 
-# --- binary stepper -----------------------------------------------------
-
-def make_binary(n, L):
-    params = derive_params(n, 2, L)
-    cuts = cut_set(params.s, n)
-    return params, cuts, binary_generator_state(params, cuts)
-
+# --- binary counter rule -------------------------------------------------
 
 def run_binary(n, L):
-    params, cuts, state = make_binary(n, L)
-    return [binary_step(state) for _ in range(L)]
-
-
-def test_binary_stepper_init():
-    params, cuts, state = make_binary(6, 46)
-    assert state.alpha == to_word("000001")
-    assert state.t_prime == 0 and state.flag is False
-    params, cuts, state = make_binary(7, 68)
-    assert params.m == 4 and state.flag is True
-    params, cuts, state = make_binary(6, 64)
-    assert state.alpha == to_word("000001") and state.flag is False
+    params = derive_params(n, 2, L)
+    cuts = cut_set(params.s, n)
+    joins = counter_join(params)
+    return iterate((0,) * (n - 1) + (1,),
+                   lambda w: binary_next(w, params, cuts, joins), L)[0]
 
 
 def test_binary_stepper_reference_run():
@@ -189,10 +176,31 @@ def test_binary_stepper_skips_all_zero_window():
     assert verify(seq, 6, 2, expected_len=50).ok
     assert "000000" not in "".join(map(str, seq + seq))  # 0^6 never a window
     # single step at 100000: natural candidate is 0^6, flipped to 000001
-    state = binary_generator_state(params, cuts)
-    state.alpha = to_word("100000")
-    assert binary_step(state) == 1
-    assert state.alpha == to_word("000001")
+    assert binary_next(to_word("100000"), params, cuts,
+                       counter_join(params)) == 1
+
+
+def test_counter_join_counts_to_t():
+    params = derive_params(6, 2, 46)  # t == 1, n != 2m - 1
+    joins = counter_join(params)
+    assert [joins(0b001111), joins(0b010111)] == [True, False]
+
+
+def test_counter_join_reserves_a_slot_for_the_special_cycle():
+    # n == 2m - 1: the last slot waits for (01)^(m-1) 1
+    params = derive_params(7, 2, 68)
+    assert (params.m, params.h, params.t) == (4, 7, 1)
+    joins = counter_join(params)
+    assert joins(0b0001111) is False
+    assert joins(0b0101011) is True
+    assert joins(0b0010111) is False
+
+
+def test_threshold_join_keeps_the_t_largest_lyndon_words():
+    # n=6, L=46: t == 1 of the weight-4 Lyndon words 001111 < 010111
+    joins = threshold_join(derive_params(6, 2, 46))
+    assert [joins(0b010111), joins(0b101110), joins(0b001111)] == [
+        True, True, False]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -288,13 +296,15 @@ def test_successor_rule_is_stateless():
     assert cut_down_successor(word, params, cuts) == first
 
 
-# --- k-ary stepper -------------------------------------------------------
+# --- k-ary counter rule --------------------------------------------------
 
 def run_kary(n, k, L):
     params = derive_params(n, k, L)
     cuts = cut_set(params.s, n)
-    state = kary_generator_state(params, cuts)
-    return [kary_step(state) for _ in range(L)]
+    joins = counter_join(params)
+    step = lambda w: kary_step(w, params, cuts, joins)
+    _, start = iterate((0,) * n, step, 1)  # the start is one step after 0^n
+    return iterate(start, step, L)[0]
 
 
 def test_kary_full_length_gives_de_bruijn_rotation():
