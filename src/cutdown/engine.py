@@ -3,9 +3,10 @@
 ``generate`` yields symbols one at a time and keeps only O(n) state, so
 arbitrarily long sequences stream without being materialized.  Both binary
 modes run one packed-integer loop (a machine word holds the window for
-n <= 63, a Python big int beyond) implementing ``successor.binary_next``;
-a mode picks only the join decision and the start window.  The test suite
-checks the loop against the tuple rule by exhaustive output comparison.
+n <= 63, a Python big int beyond) implementing ``successor.kary_step`` at
+k = 2; a mode picks only the join decision and the start window.  The test
+suite checks the loop against the tuple rule by exhaustive output
+comparison.  Other alphabets step ``kary_step`` on tuples.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -94,12 +95,12 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     joins: successor.Join) -> Iterator[int]:
-    # successor.binary_next on packed ints, oldest symbol in the MSB.  The
-    # necklace probe of word[1:] + (1,) is a single early-exit scan; when it
-    # fails (the common case) the next symbol repeats the first one, no guard
-    # can fire, and the step costs O(1) beyond the scan.  When the probe
-    # succeeds its period doubles as the candidate period needed by the
-    # guards, so no separate period pass is ever taken.
+    # successor.kary_step at k = 2 on packed ints, oldest symbol in the MSB.
+    # The necklace probe of word[1:] + (1,) is a single early-exit scan; when
+    # it fails (the common case) the next symbol repeats the first one, no
+    # guard can fire, and the step costs O(1) beyond the scan.  When the
+    # probe succeeds its period doubles as the candidate period needed by
+    # the guards, so no separate period pass is ever taken.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -112,9 +113,12 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     w = start.bit_count()
     buf: list[int] = []
     append = buf.append
+    # each block from the second on matches all symbols made so far, from 64
+    # up to _CHUNK: a short prefix comes out early, and block ends still
+    # fall on every multiple of _CHUNK
     remaining = L
     while remaining:
-        block = _CHUNK if remaining > _CHUNK else remaining
+        block = min(max(L - remaining, 64), _CHUNK, remaining)
         remaining -= block
         for _ in range(block):
             a1 = alpha >> top

@@ -1,15 +1,16 @@
-"""Feedback functions and the cut-down rules for cut-down de Bruijn sequences.
+"""Feedback functions and the cut-down rule for cut-down de Bruijn sequences.
 
 Everything operates on words as tuples of ints (first symbol = oldest).
-``pcr3`` / ``pcr3_alt`` are the underlying de Bruijn successors for the pure
-cycling register (binary / k-ary); ``mc_step`` restricts either to an
-arbitrary window set.  The cut-down rules ``binary_next`` and ``kary_step``
-take a *join decision* for the weight-m period-h cycles: ``counter_join``
-(the first t met; it counts, so one pass from the start) or, for k = 2,
-``threshold_join`` (Lyndon word >= tau; stateless), which makes
-``cut_down_successor`` context-free.  These tuple rules are the readable
-reference for the packed loop in ``engine``.  A ``counter_join`` must be
-driven from a single thread; everything else here is safe to share.
+``pcr3_alt`` is the underlying de Bruijn successor for the pure cycling
+register over any alphabet (``pcr3`` is its binary case); ``mc_step``
+restricts it to an arbitrary window set.  The one cut-down rule,
+``kary_step``, serves every k >= 2 and takes a *join decision* for the
+weight-m period-h cycles: ``counter_join`` (the first t met; it counts, so
+one pass from the start) or, for k = 2, ``threshold_join`` (Lyndon word >=
+tau; stateless), which makes ``cut_down_successor`` context-free.  The rule
+is the readable reference for the packed binary loop in ``engine``.  A
+``counter_join`` must be driven from a single thread; everything else here
+is safe to share.
 """
 
 from __future__ import annotations
@@ -20,29 +21,14 @@ from functools import lru_cache
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
 from .ranking import unrank_lyndon
-from .words import Word, is_necklace, pack, period
+from .words import Word, pack, period
 
 
 def pcr3(word: Word) -> int:
-    """Binary de Bruijn successor on the pure cycling register.
-
-    Returns the complement of the first symbol when dropping it and
-    appending 1 yields a necklace, else the first symbol unchanged.
-    Iterated from any binary word it traces a full de Bruijn sequence.
-    """
-    # necklace scan of word[1:] + (1,) without building the probe word
-    n = len(word)
-    p = 1
-    for i in range(1, n):
-        c = word[i - p + 1]
-        d = word[i + 1] if i + 1 < n else 1
-        if c > d:
-            return word[0]
-        if c < d:
-            p = i + 1
-    if n % p:
-        return word[0]
-    return 1 - word[0]
+    """Binary de Bruijn successor on the pure cycling register: ``pcr3_alt``
+    at k = 2, which complements the first symbol when dropping it and
+    appending 1 yields a necklace."""
+    return pcr3_alt(word, 2)
 
 
 def pcr3_alt(word: Word, k: int) -> int:
@@ -52,39 +38,38 @@ def pcr3_alt(word: Word, k: int) -> int:
     Let c be the smallest symbol in 1..k-1 such that dropping the first
     symbol and appending c yields a necklace (c = 0 if none).  Returns k-1
     when the first symbol is c-1, first symbol minus one when it is >= c > 0,
-    else the first symbol unchanged.
+    else the first symbol unchanged.  Iterated from any word it traces a
+    full de Bruijn sequence.
     """
+    # One scan of tail = word[1:], by the fundamental theorem of necklaces:
+    # with p the period of tail's longest Lyndon prefix and b = tail[-p],
+    # tail + (c,) is a necklace iff c > b, or c == b and p divides n.  A
+    # tail that is not a prenecklace extends to no necklace at all.
+    n = len(word)
     a1 = word[0]
-    tail = word[1:]
-    c = 0
-    for cand in range(1, k):
-        if is_necklace(tail + (cand,)) is not None:
-            c = cand
-            break
-    if c > 0:
-        if a1 == c - 1:
-            return k - 1
-        if a1 >= c:
-            return a1 - 1
-    return a1
+    p = 1
+    for i in range(2, n):
+        b, d = word[i - p], word[i]
+        if b > d:
+            return a1
+        if b < d:
+            p = i
+    b = word[n - p] if n > 1 else 0
+    c = b if b and n % p == 0 else b + 1  # c == k: none joins, a1 stays
+    if a1 == c - 1:
+        return k - 1
+    return a1 - 1 if a1 >= c else a1
 
 
 def mc_step(word: Word, member: Callable[[Word], bool], k: int = 2) -> int:
     """One step of the generic universal-cycle successor for a window set.
 
-    Applies the underlying de Bruijn successor, then corrects the symbol when
-    the candidate window falls outside the set: binary complements, k-ary
-    picks the largest symbol that stays inside.  ``word`` itself must belong
-    to the set; raises ValueError when no symbol keeps the successor inside.
+    Applies ``pcr3_alt``, then, when the candidate window falls outside the
+    set, picks the largest symbol that stays inside (for k = 2, the
+    complement).  ``word`` itself must belong to the set; raises ValueError
+    when no symbol keeps the successor inside.
     """
     tail = word[1:]
-    if k == 2:
-        x = pcr3(word)
-        if not member(tail + (x,)):
-            x = 1 - x
-            if not member(tail + (x,)):
-                raise ValueError(f"no successor of {word} stays in the set")
-        return x
     x = pcr3_alt(word, k)
     if member(tail + (x,)):
         return x
@@ -148,48 +133,18 @@ def threshold_join(params: CutParams) -> Join:
     return joins
 
 
-def binary_next(word: Word, params: CutParams, cuts: CutSet,
-                joins: Join) -> int:
-    """Next symbol after ``word`` on the binary cut-down cycle.
-
-    Starting from ``pcr3``, the rule stays below weight m + 1, never joins
-    a weight-m cycle of period > h, asks ``joins`` about each weight-m
-    cycle of period h it reaches from below, and finally redirects at the
-    markers.  The candidate window is re-derived after each adjustment, so
-    the marker test sees the window actually about to be entered.
-    """
-    m, h = params.m, params.h
-    tail = word[1:]
-    a1 = word[0]
-    w = sum(word)
-
-    x = pcr3(word)
-    cw = w - a1 + x
-    if w > m or (w == m and cw == m + 1):
-        # block the branch onto a heavier cycle; w > m is off every cycle
-        x = 1 - x
-    elif w == m - 1 and cw == m:
-        cand = tail + (x,)
-        p = period(cand)
-        if p > h or (p == h and not joins(pack(cand))):
-            x = 1 - x
-
-    if tail + (x,) in cuts.markers:
-        x = 1 - x
-    return x
-
-
 def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
     """Context-free successor for a binary cut-down sequence: the next symbol
     is a pure function of the current window.
 
-    This is ``binary_next`` with ``threshold_join``, so no joined-cycle
+    This is ``kary_step`` with ``threshold_join``, so no joined-cycle
     counter is needed.  Defined for windows of the target cycle
-    (``on_target_cycle``); behaviour elsewhere is unspecified.
+    (``on_target_cycle``); elsewhere it returns some symbol in {0, 1} or
+    raises ValueError.
     """
     if params.k != 2:
         raise ValueError("the context-free successor requires k == 2")
-    return binary_next(word, params, cuts, threshold_join(params))
+    return kary_step(word, params, cuts, threshold_join(params))
 
 
 def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
@@ -216,13 +171,19 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
 
 def kary_step(word: Word, params: CutParams, cuts: CutSet,
               joins: Join) -> int:
-    """Next symbol after ``word`` on the k-ary (k > 2) cut-down cycle, with
-    ``joins`` from ``counter_join``.
+    """Next symbol after ``word`` on the cut-down cycle, for any k >= 2.
 
-    The sequence starts one step after 0^n: usually at 0^(n-1)(k-1), but
-    for small orders with k-1 >= m that window is too heavy for the main
-    cycle and the step lands on the weight-capped start (possibly using a
-    join).
+    Starting from ``pcr3_alt``, the rule caps the weight at m, never joins
+    a weight-m cycle of period > h, asks ``joins`` about each weight-m
+    cycle of period h it reaches from below (passing the candidate window
+    packed as in ``pack``), and finally redirects at the markers.  A window
+    heavier than m, which is on no cut-down cycle, raises ValueError when
+    the cap is reached.
+
+    A counter-mode sequence starts one step after 0^n: usually at
+    0^(n-1)(k-1), but for small orders with k-1 >= m that window is too
+    heavy for the main cycle and the step lands on the weight-capped start
+    (possibly using a join).
     """
     k, m, h = params.k, params.m, params.h
     a1 = word[0]
@@ -235,11 +196,14 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
             # weight cap degenerates to the in-cycle rotation; the period and
             # join tests apply only when arriving from below
             x = a1
+        elif w > m:
+            raise ValueError(f"window {word} is heavier than m = {m}, so it "
+                             "is on no cut-down cycle")
         else:
             x = m - w + a1
             cand = tail + (x,)
             p = period(cand)
-            if p > h or (p == h and not joins(cand)):
+            if p > h or (p == h and not joins(pack(cand, k))):
                 x -= 1
 
     cand = tail + (x,)

@@ -23,12 +23,12 @@ def weight(word: Sequence[int]) -> int:
     return sum(word)
 
 
-def pack(word: Sequence[int]) -> int:
-    """The binary ``word`` as an int, first symbol in the most significant
-    bit, so that comparing packed words of equal length compares the words."""
+def pack(word: Sequence[int], k: int = 2) -> int:
+    """The k-ary ``word`` as a base-k int, first symbol most significant, so
+    that comparing packed words of equal length compares the words."""
     value = 0
     for c in word:
-        value = (value << 1) | c
+        value = value * k + c
     return value
 
 

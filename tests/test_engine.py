@@ -1,6 +1,8 @@
 """Generation engine and verifier."""
 
+import hashlib
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import SequenceSpec, generate, verify
 from cutdown.successor import (
-    binary_next,
     counter_join,
     cut_down_successor,
+    kary_step,
     on_target_cycle,
     threshold_join,
 )
@@ -136,7 +138,7 @@ def test_fast_loop_equals_stepper_everywhere():
             cuts = cut_set(params.s, n)
             joins = counter_join(params)
             stepped, _ = iterate((0,) * (n - 1) + (1,),
-                                 lambda w: binary_next(w, params, cuts, joins),
+                                 lambda w: kary_step(w, params, cuts, joins),
                                  L)
             assert stepped == collect(SequenceSpec(n=n, k=2, L=L)), (n, L)
 
@@ -180,10 +182,46 @@ def test_packed_loop_equals_tuple_rule_at_large_n(data):
         if not on_target_cycle(start, params, cuts):
             alpha, start = (0,) * (n - 1) + (1,), None
         joins = threshold_join(params)
-    ref, _ = iterate(alpha, lambda w: binary_next(w, params, cuts, joins),
+    ref, _ = iterate(alpha, lambda w: kary_step(w, params, cuts, joins),
                      2000)
     spec = SequenceSpec(n=n, k=2, L=L, mode=mode, start=start)
     assert list(itertools.islice(generate(spec), 2000)) == ref
+
+
+# sha256 over every k-ary sequence for 2 <= n <= n_max and every L, as
+# emitted before the binary and k-ary tuple rules were merged into kary_step
+KARY_SHA256 = {
+    (3, 5): "8fa73128af83ec938f1c836d40ea4299cdf237f0cfdb9756f2998da6590432cb",
+    (4, 4): "7239f36b756dfc863761b1adc91bc7f023ae86c52fb334919a3782fc89a9a058",
+    (5, 3): "563f913c7f980da756a220b3bb096cb0b274bea28df29a8d072797a8f67155a0",
+    (6, 3): "724193ec9148ddd1f5c2b9936b422eba147c314310598fb17c8ea44c7255f6d0",
+}
+
+
+@pytest.mark.parametrize("k, n_max", KARY_SHA256)
+def test_kary_output_pinned(k, n_max):
+    digest = hashlib.sha256()
+    for n in range(2, n_max + 1):
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            digest.update(bytes(generate(SequenceSpec(n=n, k=k, L=L))) + b"|")
+    assert digest.hexdigest() == KARY_SHA256[k, n_max]
+
+
+def test_first_symbol_comes_before_a_full_block():
+    # the packed loop's buffered blocks grow from 64 symbols, so the first
+    # symbol costs far less than a full 8192-symbol block
+    spec = SequenceSpec(n=60, k=2, L=3 * 2 ** 58)
+    first = block = float("inf")
+    for _ in range(3):
+        gen = generate(spec)
+        t0 = time.perf_counter()
+        next(gen)
+        first = min(first, time.perf_counter() - t0)
+        gen = generate(spec)
+        t0 = time.perf_counter()
+        list(itertools.islice(gen, 8192))
+        block = min(block, time.perf_counter() - t0)
+    assert first < block / 4, (first, block)
 
 
 def test_full_length_window_sets_complete():

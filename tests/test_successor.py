@@ -3,11 +3,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdown.cutplan import cut_set, derive_params
-from cutdown.engine import verify
+from cutdown.engine import SequenceSpec, generate, verify
 from cutdown.successor import (
-    binary_next,
     counter_join,
     cut_down_successor,
     kary_step,
@@ -16,7 +17,7 @@ from cutdown.successor import (
     pcr3_alt,
     threshold_join,
 )
-from cutdown.words import is_necklace, period, rotate, weight
+from cutdown.words import is_necklace, least_rotation, period, weight
 
 from refdata import (
     CUT_N6_L46,
@@ -38,14 +39,6 @@ from refdata import (
 ])
 def test_pcr3_examples(text, expected):
     assert pcr3(to_word(text)) == expected
-
-
-def test_pcr3_matches_definition_exhaustively():
-    for n in (1, 2, 5, 8):
-        for word in product((0, 1), repeat=n):
-            probe = word[1:] + (1,)
-            expect = 1 - word[0] if is_necklace(probe) else word[0]
-            assert pcr3(word) == expect
 
 
 def test_pcr3_traces_full_de_bruijn_sequence():
@@ -81,10 +74,41 @@ def test_pcr3_alt_reproduces_all_reference_transitions():
         assert pcr3_alt(window, 4) == int(doubled[i + 3])
 
 
-def test_pcr3_alt_reduces_to_pcr3_for_k2():
-    for n in (2, 4, 7):
-        for word in product((0, 1), repeat=n):
-            assert pcr3_alt(word, 2) == pcr3(word)
+def pcr3_alt_by_probes(word, k):
+    # the definition: c is the smallest symbol in 1..k-1 such that dropping
+    # the first symbol and appending c gives a necklace, else 0
+    a1, tail = word[0], word[1:]
+    c = next((c for c in range(1, k) if is_necklace(tail + (c,))), 0)
+    if c and a1 == c - 1:
+        return k - 1
+    return a1 - 1 if c and a1 >= c else a1
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 10), (3, 7), (4, 6), (5, 5),
+                                     (6, 5)])
+def test_pcr3_alt_matches_definition_exhaustively(k, nmax):
+    for n in range(1, nmax + 1):
+        for word in product(range(k), repeat=n):
+            assert pcr3_alt(word, k) == pcr3_alt_by_probes(word, k), word
+            if k == 2:
+                assert pcr3(word) == pcr3_alt_by_probes(word, 2), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pcr3_alt_matches_definition_at_large_n(data):
+    # a random tail is almost never a prenecklace, so most tails are drawn
+    # as prefixes of a power of a necklace, which always are
+    k = data.draw(st.integers(2, 9), label="k")
+    n = data.draw(st.integers(1, 40), label="n")
+    symbols = st.integers(0, k - 1)
+    block = data.draw(st.lists(symbols, min_size=1, max_size=n), label="block")
+    tail = least_rotation(block) * n
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(0, n - 1), label="at")
+        tail = tail[:i] + (data.draw(symbols, label="symbol"),) + tail[i + 1:]
+    word = (data.draw(symbols, label="a1"),) + tail[:n - 1]
+    assert pcr3_alt(word, k) == pcr3_alt_by_probes(word, k)
 
 
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (4, 3), (5, 3),
@@ -154,7 +178,7 @@ def run_binary(n, L):
     cuts = cut_set(params.s, n)
     joins = counter_join(params)
     return iterate((0,) * (n - 1) + (1,),
-                   lambda w: binary_next(w, params, cuts, joins), L)[0]
+                   lambda w: kary_step(w, params, cuts, joins), L)[0]
 
 
 def test_binary_stepper_reference_run():
@@ -176,8 +200,8 @@ def test_binary_stepper_skips_all_zero_window():
     assert verify(seq, 6, 2, expected_len=50).ok
     assert "000000" not in "".join(map(str, seq + seq))  # 0^6 never a window
     # single step at 100000: natural candidate is 0^6, flipped to 000001
-    assert binary_next(to_word("100000"), params, cuts,
-                       counter_join(params)) == 1
+    assert kary_step(to_word("100000"), params, cuts,
+                     counter_join(params)) == 1
 
 
 def test_counter_join_counts_to_t():
@@ -359,3 +383,37 @@ def test_kary_heavy_start_window_configurations():
                 seq = run_kary(n, k, L)
                 assert verify(seq, n, k, expected_len=L).ok, (k, n, L)
     assert covered > 100 and zero_marker > 20
+
+
+# --- windows off the cycle -------------------------------------------------
+
+@pytest.mark.parametrize("n, k", [(6, 2), (4, 3), (3, 4)])
+def test_every_window_gives_a_symbol_or_value_error(n, k):
+    # on-cycle windows give a symbol in range; a window heavier than m may
+    # instead raise ValueError, but no window yields a symbol outside the
+    # alphabet
+    mode, make_join = (("successor", threshold_join) if k == 2
+                       else ("counter", counter_join))
+    for L in range(k ** (n - 1) + 1, k ** n + 1):
+        params = derive_params(n, k, L)
+        cuts = cut_set(params.s, n)
+        seq = list(generate(SequenceSpec(n=n, k=k, L=L, mode=mode)))
+        on_cycle = {tuple((seq + seq)[i:i + n]) for i in range(L)}
+        for word in product(range(k), repeat=n):
+            try:
+                x = kary_step(word, params, cuts, make_join(params))
+            except ValueError:
+                assert word not in on_cycle and sum(word) > params.m, (L, word)
+            else:
+                assert 0 <= x < k, (L, word, x)
+
+
+def test_heavy_windows_raise():
+    params = derive_params(4, 3, 60)
+    cuts = cut_set(params.s, 4)
+    for text in ("0222", "1222", "2222"):
+        with pytest.raises(ValueError, match="heavier than m"):
+            kary_step(to_word(text), params, cuts, counter_join(params))
+    params = derive_params(6, 2, 46)
+    with pytest.raises(ValueError, match="heavier than m"):
+        cut_down_successor(to_word("111111"), params, cut_set(params.s, 6))

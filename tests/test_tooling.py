@@ -1,13 +1,19 @@
-"""Repository-level checks: the demos run, and the package keeps its
-invariants under ``python -O``."""
+"""Repository-level checks: the demos run, the package keeps its
+invariants under ``python -O``, and the README names only code that
+exists."""
 
 import ast
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import cutdown
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -31,3 +37,33 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+def _exists(name, modules):
+    # cutdown, one of its modules, or an attribute of one; a dotted name
+    # resolves from its first part
+    head, *rest = name.split(".")
+    owners = [modules[head]] if head in modules else list(modules.values())
+    path = rest if head in modules else [head, *rest]
+    for obj in owners:
+        for part in path:
+            if not hasattr(obj, part):
+                break
+            obj = getattr(obj, part)
+        else:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("section", ["How it works", "Module map"])
+def test_readme_names_exist(section):
+    # every backticked Python name in the section must name live code
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", body))
+    modules = {info.name: importlib.import_module(f"cutdown.{info.name}")
+               for info in pkgutil.iter_modules(cutdown.__path__)}
+    modules["cutdown"] = cutdown
+    assert names
+    assert sorted(n for n in names if not _exists(n, modules)) == []
