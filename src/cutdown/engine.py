@@ -24,6 +24,7 @@ from .cutplan import CutParams, CutSet, cut_set, derive_params
 from .words import Word, pack
 
 _CHUNK = 8192
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,54 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     joins: successor.Join) -> Iterator[int]:
     # successor.kary_step at k = 2 on packed ints, oldest symbol in the MSB.
-    # The necklace probe of word[1:] + (1,) is a single early-exit scan; when
-    # it fails (the common case) the next symbol repeats the first one, no
-    # guard can fire, and the step costs O(1) beyond the scan.  When the
-    # probe succeeds its period doubles as the candidate period needed by
-    # the guards, so no separate period pass is ever taken.
+    # When the probe word[1:] + (1,) is not a necklace (the common case) the
+    # next symbol repeats the first one and no guard can fire.  A necklace
+    # begins with its longest run of 0s, so the probe test compares the
+    # probe only with its rotations that start with as many 0s; the first
+    # equal one gives the period the guards need.
+    #
+    # Between necklace probes the window only rotates, so such runs of
+    # steps are copied out of the window in one go.  The probe at step t is
+    # the window rotated to start at position t + 1 with bit t set.  It can
+    # be a necklace only if position t + 1 starts a longest 0-run of the
+    # window (bit t is 1), or, when the window has a single longest run of
+    # z 0s, lies in that run's first (z + 1) // 2 + 1 positions (bit t is 0
+    # and splits the run; the part after t must be no shorter than the part
+    # before).  cmask marks those positions, MSB = position 0; steps at
+    # other positions are plain rotations, unless the window is a rotation
+    # of a marker, where every position is marked.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
+    low = mask >> 1
     markers = [pack(w) for w in cuts.markers]
     r1 = markers[0] if len(markers) > 0 else -1
     r2 = markers[1] if len(markers) > 1 else -1
-    # tails[i] keeps the probe bits at positions >= i (position 0 = MSB)
-    tails = [(1 << (n - i)) - 1 for i in range(n + 1)]
+    marked = {((r << j) | (r >> (n - j))) & mask
+              for r in markers for j in range(n)}
+
+    def candidates(a: int) -> int:
+        zeros = mask ^ a
+        if zeros == 0 or zeros == mask or a in marked:
+            return mask
+        runs, z = zeros, 1  # runs: starts of z-long runs of 0s
+        while True:
+            longer = runs & (((zeros << z) & mask) | (zeros >> (n - z)))
+            if not longer:
+                break
+            runs, z = longer, z + 1
+        if runs & (runs - 1):
+            return runs
+        u = n - runs.bit_length()
+        c = (z + 1) // 2
+        span = ((2 << c) - 1) << (top - c)  # positions 0..c
+        return ((span >> u) | (span << (n - u))) & mask
+
     alpha = start
     w = start.bit_count()
-    buf: list[int] = []
+    cmask = candidates(alpha)
+    # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
+    buf = bytearray()
     append = buf.append
     # each block from the second on matches all symbols made so far, from 64
     # up to _CHUNK: a short prefix comes out early, and block ends still
@@ -120,33 +153,37 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     while remaining:
         block = min(max(L - remaining, 64), _CHUNK, remaining)
         remaining -= block
-        for _ in range(block):
+        while block:
+            c = cmask & low
+            q = min(top - c.bit_length() if c else top, block)
+            if q:
+                buf += bin((alpha >> (n - q)) | (1 << q))[3:].encode()
+                alpha = ((alpha << q) & mask) | (alpha >> (n - q))
+                cmask = ((cmask << q) & mask) | (cmask >> (n - q))
+                block -= q
+                if not block:
+                    break
+            block -= 1
             a1 = alpha >> top
             append(a1)
             shifted = (alpha << 1) & mask
-            # p := period of probe = shifted|1 if it is a necklace, else 0.
-            # The scan hops mismatch-to-mismatch: probe ^ (probe >> p) marks
-            # every position disagreeing with the one p earlier, bit_length
-            # finds the first, and its value decides reject vs period growth.
+            # p := period of probe = shifted|1 if it is a necklace, else 0
             if shifted >> top:
                 p = 1 if (shifted | 1) == mask else 0
             else:
                 probe = shifted | 1
-                p = 1
-                i = 1
-                while True:
-                    rel = (probe ^ (probe >> p)) & tails[i]
-                    if not rel:
-                        if n % p:
-                            p = 0
+                zeros = mask ^ probe
+                starts = zeros & low  # later starts of as many 0s
+                for j in range(1, n - probe.bit_length()):
+                    starts &= ((zeros << j) & mask) | (zeros >> (n - j))
+                p = n
+                while starts:
+                    b = starts.bit_length()
+                    turned = ((probe << (n - b)) & mask) | (probe >> b)
+                    if turned <= probe:
+                        p = n - b if turned == probe else 0
                         break
-                    b = rel.bit_length()
-                    if (probe >> (b - 1)) & 1:
-                        i = n - b + 1  # mismatch reads 1: period grows
-                        p = i
-                    else:
-                        p = 0  # mismatch reads 0: a smaller rotation exists
-                        break
+                    starts ^= 1 << (b - 1)
             if p:
                 x = 1 - a1
                 cw = w - a1 + x
@@ -171,7 +208,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     w += 1 - 2 * a1
                 else:
                     alpha = cand
-        yield from buf
+            if alpha == shifted | a1:
+                cmask = ((cmask << 1) & mask) | (cmask >> top)
+            else:
+                cmask = candidates(alpha)
+        yield from buf.translate(_DIGITS)
         buf.clear()
 
 

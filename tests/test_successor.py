@@ -41,6 +41,14 @@ def test_pcr3_examples(text, expected):
     assert pcr3(to_word(text)) == expected
 
 
+def test_pcr3_matches_definition_exhaustively():
+    for n in (1, 2, 5, 8):
+        for word in product((0, 1), repeat=n):
+            probe = word[1:] + (1,)
+            expect = 1 - word[0] if is_necklace(probe) else word[0]
+            assert pcr3(word) == expect
+
+
 def test_pcr3_traces_full_de_bruijn_sequence():
     out, final = iterate((0,) * 6, pcr3, 64)
     assert "".join(map(str, out)) == DB_N6_K2
@@ -72,6 +80,12 @@ def test_pcr3_alt_reproduces_all_reference_transitions():
     for i in range(64):
         window = to_word(doubled[i:i + 3])
         assert pcr3_alt(window, 4) == int(doubled[i + 3])
+
+
+def test_pcr3_alt_reduces_to_pcr3_for_k2():
+    for n in (2, 4, 7):
+        for word in product((0, 1), repeat=n):
+            assert pcr3_alt(word, 2) == pcr3(word)
 
 
 def pcr3_alt_by_probes(word, k):
