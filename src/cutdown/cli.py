@@ -3,7 +3,8 @@
 Subcommands: generate, verify, params, rank, count.  Sequences are written
 linearly; reading them cyclically is the verifier's job.  Words and
 sequences use digit strings for alphabets up to size 10 and comma-separated
-decimals beyond that.
+decimals beyond that.  Digit strings are read and written as bytes, a block
+at a time: only the ASCII digits and whitespace may appear in them.
 
 Exit status: 0 on success, 1 when `verify` rejects its input, 2 for
 argument or range errors, including a successor-mode start window that is
@@ -14,16 +15,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
+from itertools import islice
 
 from .counting import count_lyndon, count_strings
 from .cutplan import cut_set, derive_params
-from .engine import SequenceSpec, VerifyReport, generate, verify
+from .engine import _CHUNK, SequenceSpec, VerifyReport, generate, verify
 from .ranking import rank_lyndon
 from .words import Word
 
-_CHUNK = 8192
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+# ASCII digit -> symbol 0..9, every other byte -> 255; and back
+_DECODE = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
+_ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _format_word(word: Word, k: int) -> str:
@@ -32,43 +38,55 @@ def _format_word(word: Word, k: int) -> str:
     return ",".join(str(c) for c in word)
 
 
-def _parse_symbols(text: str, fmt: str | None) -> list[int]:
-    text = text.strip()
-    if fmt == "csv" or (fmt is None and "," in text):
-        return [int(part) for part in text.split(",") if part.strip()]
-    return [int(ch) for ch in text if not ch.isspace()]
+def _parse_symbols(data: bytes, fmt: str | None) -> bytes | list[int]:
+    """Digit strings decode to bytes of symbols 0..9; csv to a list."""
+    if fmt == "csv" or (fmt is None and b"," in data):
+        if not data.isascii():
+            raise _bad_byte(next(b for b in data if b > 127))
+        return [int(part) for part in data.split(b",") if part.strip()]
+    symbols = data.translate(_DECODE, _WHITESPACE)
+    if 255 in symbols:
+        raise _bad_byte(data.translate(None, b"0123456789" + _WHITESPACE)[0])
+    return symbols
+
+
+def _bad_byte(byte: int) -> ValueError:
+    return ValueError(f"unexpected byte 0x{byte:02x} in the symbols: only "
+                      f"ASCII digits, commas and whitespace may appear")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     fmt = args.format or ("digits" if args.k <= 10 else "csv")
     if fmt == "digits" and args.k > 10:
         raise ValueError("digits format is ambiguous for k > 10; use --format csv")
-    start = tuple(_parse_symbols(args.start, None)) if args.start else None
+    start = (tuple(_parse_symbols(os.fsencode(args.start), None))
+             if args.start else None)
     spec = SequenceSpec(n=args.n, k=args.k, L=args.len, mode=args.mode,
                         start=start)
+    symbols = generate(spec)
+    if fmt == "digits":
+        sys.stdout.flush()
+        out = sys.stdout.buffer
+        while block := bytes(islice(symbols, _CHUNK)):
+            out.write(block.translate(_ENCODE))
+        out.write(b"\n")
+        return 0
     out = sys.stdout
-    buf: list[str] = []
-    sep = "" if fmt == "digits" else ","
-    first = True
-    for symbol in generate(spec):
-        buf.append(str(symbol))
-        if len(buf) >= _CHUNK:
-            out.write(sep.join(buf) if first else sep + sep.join(buf))
-            first = False
-            buf.clear()
-    if buf:
-        out.write(sep.join(buf) if first else sep + sep.join(buf))
+    sep = ""
+    while block := ",".join(map(str, islice(symbols, _CHUNK))):
+        out.write(sep + block)
+        sep = ","
     out.write("\n")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input and args.input != "-":
-        with open(args.input, "r", encoding="ascii") as handle:
-            text = handle.read()
+        with open(args.input, "rb") as handle:
+            data = handle.read()
     else:
-        text = sys.stdin.read()
-    symbols = _parse_symbols(text, args.format)
+        data = sys.stdin.buffer.read()
+    symbols = _parse_symbols(data, args.format)
     report = verify(symbols, args.n, args.k, expected_len=args.len)
     if args.json:
         print(json.dumps(_report_json(report, args.k)))
@@ -121,7 +139,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    word = tuple(_parse_symbols(args.word, None))
+    word = tuple(_parse_symbols(os.fsencode(args.word), None))
     print(rank_lyndon(word, args.k))
     return 0
 

@@ -10,14 +10,18 @@ comparison.  Other alphabets step ``kary_step`` on tuples.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
-length matches when a target is given.  Windows are keyed by rolling base-k
-integers; memory is O(L).
+length matches when a target is given.  Windows are rolling base-k
+integers marked in a table of k^n bytes, which is less than k bytes per
+symbol for any L > k^(n-1); inputs shorter than k^(n-1) use a set of
+window values instead, O(L).  Beyond its input, verify keeps at most the
+table and O(n) state, on the accepting and the rejecting path alike.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
@@ -232,36 +236,84 @@ def verify(seq: Iterable[int], n: int, k: int,
     """Check that ``seq`` is a valid cut-down sequence body for (n, k).
 
     All len(seq) cyclic length-n windows (including wraparound) must be
-    pairwise distinct and every symbol must lie in [0, k).  Failures are
-    reported, not raised; n < 1 or k < 2 raises ValueError.
+    pairwise distinct and every symbol must lie in [0, k).  A list, tuple,
+    bytes or bytearray is read in place; any other iterable is copied into
+    a list first.  Failures are reported, not raised; n < 1 or k < 2 raises
+    ValueError.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    symbols: Sequence[int] = seq if isinstance(seq, (list, tuple)) else list(seq)
+    symbols: Sequence[int] = (
+        seq if isinstance(seq, (list, tuple, bytes, bytearray)) else list(seq))
     length = len(symbols)
     if length < 1:
         raise ValueError("empty sequence")
-    for idx, c in enumerate(symbols):
-        if not 0 <= c < k:
-            return VerifyReport(ok=False, length=length,
-                                out_of_range_symbol=idx + 1)
+    if min(symbols) < 0 or max(symbols) >= k:
+        bad = next(idx for idx, c in enumerate(symbols, 1) if not 0 <= c < k)
+        return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
 
-    modulus = k ** n
-    value = 0
-    for j in range(n):  # first window; wraps (repeatedly) when length < n
-        value = value * k + symbols[j % length]
+    size = k ** n
+    if k * length < size:
+        # shorter than any cut-down body: k^n bytes would outweigh the input
+        seen: set[int] | bytearray = set(_window_values(symbols, n, k))
+        distinct = len(seen)
+    else:
+        # one pass without branches: mark every window, count the marks
+        seen = bytearray(size)
+        value = next(_window_values(symbols, n, k))
+        seen[value] = 1
+        for c in _incoming(symbols, n):
+            value = (value * k + c) % size
+            seen[value] = 1
+        distinct = seen.count(1)
 
-    seen = {value: 1}
     duplicate = None
-    for pos in range(2, length + 1):
-        incoming = symbols[(pos + n - 2) % length]
-        value = (value * k + incoming) % modulus
-        first = seen.get(value)
-        if first is not None:
-            window = tuple(symbols[(pos - 1 + j) % length] for j in range(n))
-            duplicate = (window, (first, pos))
-            break
-        seen[value] = pos
+    if distinct < length:
+        second, value = _first_repeat(_window_values(symbols, n, k), seen)
+        values = _window_values(symbols, n, k)
+        first = next(pos for pos, v in enumerate(values, 1) if v == value)
+        window = tuple(symbols[(second - 1 + j) % length] for j in range(n))
+        duplicate = (window, (first, second))
 
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
+
+
+def _incoming(symbols: Sequence[int], n: int) -> Iterator[int]:
+    # the symbols entering windows 2..L: symbols[n:] and then the n - 1
+    # wrapped ones, read in place; a short input wraps repeatedly
+    length = len(symbols)
+    if length >= n:
+        return chain(islice(symbols, n, None), islice(symbols, n - 1))
+    return (symbols[j % length] for j in range(n, n + length - 1))
+
+
+def _window_values(symbols: Sequence[int], n: int, k: int) -> Iterator[int]:
+    # base-k values of the cyclic windows at positions 1, 2, ..., L
+    size = k ** n
+    value = 0
+    for j in range(n):
+        value = value * k + symbols[j % len(symbols)]
+    yield value
+    for c in _incoming(symbols, n):
+        value = (value * k + c) % size
+        yield value
+
+
+def _first_repeat(values: Iterator[int],
+                  seen: set[int] | bytearray) -> tuple[int, int]:
+    # 1-based position and value of the first window seen before; the marks
+    # of the counting pass are set aside (the set is emptied, the table's
+    # 1s are passed over by marking 2s), so no memory is added
+    if isinstance(seen, set):
+        seen.clear()
+        for pos, value in enumerate(values, 1):
+            if value in seen:
+                return pos, value
+            seen.add(value)
+    else:
+        for pos, value in enumerate(values, 1):
+            if seen[value] == 2:
+                return pos, value
+            seen[value] = 2
+    raise RuntimeError("the counting pass saw a repeated window; none found")

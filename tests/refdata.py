@@ -5,7 +5,13 @@ de Bruijn sequences (every window exactly once), the 51-window universal
 cycle joined from all windows of weight < 4 plus the period-<6 and one
 period-6 cycle of weight 4 (n=6), and cut-down sequences of lengths 46
 and 52.  Tests treat them as frozen expected values.
+
+``verify_reference`` is the direct verifier the table-based
+``engine.verify`` is checked against: one dict from window value to its
+first position, O(L) memory.
 """
+
+from cutdown.engine import VerifyReport
 
 # full de Bruijn sequence, n=6, k=2, traced from 000000
 DB_N6_K2 = "0000001111110111100111000110110100110000101110101100101010001001"
@@ -43,3 +49,37 @@ def iterate(word, fn, steps):
         out.append(word[0])
         word = word[1:] + (fn(word),)
     return out, word
+
+
+def verify_reference(seq, n, k, expected_len=None):
+    """``engine.verify`` by a {window value: first position} dict."""
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+    symbols = list(seq)
+    length = len(symbols)
+    if length < 1:
+        raise ValueError("empty sequence")
+    for idx, c in enumerate(symbols):
+        if not 0 <= c < k:
+            return VerifyReport(ok=False, length=length,
+                                out_of_range_symbol=idx + 1)
+
+    modulus = k ** n
+    value = 0
+    for j in range(n):  # first window; wraps (repeatedly) when length < n
+        value = value * k + symbols[j % length]
+
+    seen = {value: 1}
+    duplicate = None
+    for pos in range(2, length + 1):
+        incoming = symbols[(pos + n - 2) % length]
+        value = (value * k + incoming) % modulus
+        first = seen.get(value)
+        if first is not None:
+            window = tuple(symbols[(pos - 1 + j) % length] for j in range(n))
+            duplicate = (window, (first, pos))
+            break
+        seen[value] = pos
+
+    ok = duplicate is None and (expected_len is None or length == expected_len)
+    return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)

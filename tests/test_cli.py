@@ -1,6 +1,8 @@
 """Command-line surface, driven through main() with captured stdio."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -12,10 +14,11 @@ from refdata import CUT_N6_L46, CUT_N6_L52, DB_N3_K4
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
+    # stdin (str or bytes) gets a .buffer, as a real standard input has
     if stdin is not None:
-        import io
-        import sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        if isinstance(stdin, str):
+            stdin = stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -130,6 +133,53 @@ def test_generate_pipe_verify(capsys, monkeypatch):
                              "--len", str(L), stdin=out,
                              monkeypatch=monkeypatch)
         assert code == 0
+
+
+@pytest.mark.parametrize("data", [b"0\xd9\xa31", b"01x10", b"01\x0510",
+                                  b"0,\xd9\xa3,1"],
+                         ids=["arabic-indic-digit", "letter", "control-byte",
+                              "csv-arabic-indic-digit"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_rejects_non_digit_bytes(capsys, monkeypatch, tmp_path,
+                                        data, source):
+    # the same bytes give the same exit status and message from either
+    # source; U+0663 is not symbol 3 and \x05 is not symbol 5
+    argv = ["verify", "--n", "1", "--k", "4", "--json"]
+    if source == "file":
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, str(path))
+    else:
+        code, out, err = run_cli(capsys, *argv, stdin=data,
+                                 monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    bad = next(b for b in data if not (b in b"0123456789,"))
+    assert err == (f"error: unexpected byte 0x{bad:02x} in the symbols: only "
+                   f"ASCII digits, commas and whitespace may appear\n")
+
+
+def test_verify_digits_with_whitespace(capsys, monkeypatch):
+    # spaces, tabs, CR/LF, VT and FF separate nothing; digits above k-1 are
+    # symbols out of range (exit 1), not input errors
+    text = (" ".join(CUT_N6_L46[:20]) + "\r\n\t" + CUT_N6_L46[20:]
+            + "\x0b\x0c\n")
+    code, out, _ = run_cli(capsys, "verify", "--n", "6", "--len", "46",
+                           stdin=text, monkeypatch=monkeypatch)
+    assert code == 0 and out.startswith("ok: 46 symbols")
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--json",
+                           stdin="0190", monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["out_of_range_symbol"] == 3
+
+
+def test_generate_csv_matches_digits(capsys):
+    # 20,000 symbols cross the 8,192-symbol block ends of both encoders
+    argv = ["generate", "--n", "15", "--len", "20000"]
+    code, digits, _ = run_cli(capsys, *argv)
+    code_csv, csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, code_csv) == (0, 0)
+    assert len(digits) == 20001
+    assert csv == ",".join(digits.strip()) + "\n"
 
 
 def test_rank(capsys):

@@ -26,6 +26,7 @@ from refdata import (
     DB_N6_K2,
     iterate,
     to_symbols,
+    verify_reference,
 )
 
 
@@ -293,3 +294,85 @@ def test_verify_detects_wraparound_duplicates():
     report = verify([0, 1, 0, 1], 2, 2)
     assert not report.ok
     assert report.first_duplicate == ((0, 1), (1, 3))
+
+
+# --- verify against the dict-based reference ------------------------------
+
+def test_verify_equals_reference_exhaustively():
+    # every sequence over {0, 1, 2} of length 1..8, at k = 2 (some symbols
+    # out of range) and k = 3, n = 1..4: L < n, L > k^n, wraparound
+    # duplicates, the set and the table paths; k = 3 also as bytes
+    for length in range(1, 9):
+        for seq in itertools.product(range(3), repeat=length):
+            for n in range(1, 5):
+                for k in (2, 3):
+                    want = verify_reference(seq, n, k, expected_len=5)
+                    got = verify(seq, n, k, expected_len=5)
+                    assert got == want, (seq, n, k)
+                assert verify(bytes(seq), n, 3) == verify_reference(seq, n, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_equals_reference_on_planted_faults(data):
+    # a generated cut-down sequence (in full when L <= 2^14, else its
+    # first 2^14 symbols), with a window copied over another or a symbol
+    # out of range
+    k = data.draw(st.sampled_from([2, 2, 3, 4]), label="k")
+    n = data.draw(st.integers(2, 24 if k == 2 else 12), label="n")
+    L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
+    seq = list(itertools.islice(generate(SequenceSpec(n=n, k=k, L=L)),
+                                2 ** 14))
+    length = len(seq)
+    fault = data.draw(st.sampled_from(["none", "duplicate", "symbol"]),
+                      label="fault")
+    if fault == "duplicate":
+        src = data.draw(st.integers(0, length - 1), label="src")
+        dst = data.draw(st.integers(0, length - 1), label="dst")
+        window = [seq[(src + j) % length] for j in range(n)]
+        for j in range(min(n, length)):
+            seq[(dst + j) % length] = window[j]
+    elif fault == "symbol":
+        pos = data.draw(st.integers(0, length - 1), label="pos")
+        seq[pos] = data.draw(st.integers(k, 255), label="bad")
+    want = verify_reference(seq, n, k, expected_len=L)
+    assert verify(seq, n, k, expected_len=L) == want
+    assert verify(bytes(seq), n, k, expected_len=L) == want
+    if fault == "none" and length == L:
+        assert want.ok
+
+
+def test_verify_short_input_allocates_no_table():
+    # k^n = 2^40 bytes would not fit; a 2-symbol input gets a set instead
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        report = verify([0, 1], 40, 2)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.length == 2
+    assert peak < 2 ** 16 and seconds < 0.5
+
+
+def test_verify_memory_is_bounded_by_the_table():
+    # a full n = 16 binary list, accepted and with its last symbol flipped:
+    # the 64 KiB table and O(n) state on both paths, where the
+    # {window: position} dict took about 7 MB (tracemalloc slows the
+    # verifier's int arithmetic too much for a larger n here)
+    n = 16
+    seq = collect(SequenceSpec(n=n, k=2, L=2 ** n))
+    bad = seq[:-1] + [1 - seq[-1]]
+    peaks, reports = [], []
+    for symbols in (seq, bad):
+        tracemalloc.start()
+        try:
+            reports.append(verify(symbols, n, 2, expected_len=2 ** n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0].ok
+    assert reports[1] == verify_reference(bad, n, 2, expected_len=2 ** n)
+    assert not reports[1].ok and reports[1].first_duplicate is not None
+    assert max(peaks) < 2 * 2 ** n, peaks

@@ -1,9 +1,10 @@
 """Repository-level checks: the demos run, the package keeps its
-invariants under ``python -O``, and the README names only code that
-exists."""
+invariants under ``python -O``, ``generate | verify`` works through real
+OS pipes, and the README names only code that exists."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -15,17 +16,23 @@ import pytest
 
 import cutdown
 
+from refdata import CUT_N6_L46
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], env=env,
+    done = subprocess.run([sys.executable, str(demo)], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -38,6 +45,29 @@ def test_no_bare_assert_in_package():
              if isinstance(node, ast.Assert)]
     assert found == []
 
+
+@pytest.mark.parametrize("n, k, L, fmt", [(6, 2, 46, ()), (3, 4, 50, ()),
+                                          (2, 12, 100, ("--format", "csv"))],
+                         ids=["n6-k2", "n3-k4", "n2-k12-csv"])
+def test_generate_pipes_into_verify(n, k, L, fmt):
+    # two python -O processes joined by an OS pipe, as a shell runs them:
+    # what stdout writes (bytes for digits, text for csv) is what stdin reads
+    cli = [sys.executable, "-O", "-m", "cutdown.cli"]
+    size = ["--n", str(n), "--k", str(k), "--len", str(L)]
+    with subprocess.Popen([*cli, "generate", *size, *fmt], env=_env(),
+                          stdout=subprocess.PIPE) as gen:
+        ver = subprocess.run([*cli, "verify", "--json", *size, *fmt],
+                             env=_env(), stdin=gen.stdout,
+                             capture_output=True, timeout=60)
+    assert gen.returncode == 0
+    assert ver.returncode == 0, ver.stderr
+    assert json.loads(ver.stdout) == {"ok": True, "length": L,
+                                      "first_duplicate": None,
+                                      "out_of_range_symbol": None}
+    if (n, k, L) == (6, 2, 46):
+        done = subprocess.run([*cli, "generate", *size], env=_env(),
+                              capture_output=True, timeout=60)
+        assert done.stdout == (CUT_N6_L46 + "\n").encode()
 
 
 def _exists(name, modules):
