@@ -24,3 +24,12 @@ print("\nsix symbols, n=3, length 171:")
 body = list(generate(SequenceSpec(n=3, k=6, L=171)))
 print("  ok:", verify(body, 3, 6, expected_len=171).ok)
 print("  head:", ",".join(map(str, body[:30])), "...")
+
+print("\nthe context-free rule, k=4, n=4, length 200:")
+body = list(generate(SequenceSpec(n=4, k=4, L=200, mode="successor")))
+print("  ok:", verify(body, 4, 4, expected_len=200).ok)
+start = tuple(body[50:54])
+again = list(generate(SequenceSpec(n=4, k=4, L=200, mode="successor",
+                                   start=start)))
+print(f"  from window {''.join(map(str, start))}: the same cycle, "
+      f"{again == body[50:] + body[:50]}")

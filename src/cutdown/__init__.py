@@ -4,9 +4,9 @@ A cut-down de Bruijn sequence is a cyclic k-ary sequence of length L, with
 k^(n-1) < L <= k^n, in which every length-n window occurs at most once.
 This package generates them by cycle joining over the pure cycling register
 (one rule for every alphabet, joining t of the weight-m period-h cycles:
-the first t met, or for k = 2 alternatively the t with the largest Lyndon
-words, which makes the successor context-free), and provides the
-supporting counting, ranking and verification machinery.
+either the first t met, or the t with the largest Lyndon words, which
+makes the successor context-free), and provides the supporting counting,
+ranking and verification machinery.
 """
 
 from .counting import (

@@ -41,9 +41,12 @@ def _format_word(word: Word, k: int) -> str:
 def _parse_symbols(data: bytes, fmt: str | None) -> bytes | list[int]:
     """Digit strings decode to bytes of symbols 0..9; csv to a list."""
     if fmt == "csv" or (fmt is None and b"," in data):
-        if not data.isascii():
-            raise _bad_byte(next(b for b in data if b > 127))
-        return [int(part) for part in data.split(b",") if part.strip()]
+        # a field is a plain run of ASCII digits: no sign, no "_"
+        fields = [part.strip() for part in data.split(b",")]
+        for part in fields:
+            if part and not part.isdigit():
+                raise _bad_byte(part.translate(None, b"0123456789")[0])
+        return [int(part) for part in fields if part]
     symbols = data.translate(_DECODE, _WHITESPACE)
     if 255 in symbols:
         raise _bad_byte(data.translate(None, b"0123456789" + _WHITESPACE)[0])
@@ -168,8 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="target length, k^(n-1) < L <= k^n")
     gen.add_argument("--mode", choices=("counter", "successor"),
                      default="counter",
-                     help="counter: join the first t cycles met (any k); "
-                          "successor: context-free rule (k=2 only)")
+                     help="counter: join the first t cycles met; "
+                          "successor: context-free rule")
     gen.add_argument("--start", help="start window for successor mode")
     gen.add_argument("--format", choices=("digits", "csv"),
                      help="output format (default digits for k <= 10)")

@@ -1,12 +1,12 @@
 """Drive the cut-down rules to stream a sequence; verify candidates.
 
 ``generate`` yields symbols one at a time and keeps only O(n) state, so
-arbitrarily long sequences stream without being materialized.  Both binary
-modes run one packed-integer loop (a machine word holds the window for
-n <= 63, a Python big int beyond) implementing ``successor.kary_step`` at
-k = 2; a mode picks only the join decision and the start window.  The test
-suite checks the loop against the tuple rule by exhaustive output
-comparison.  Other alphabets step ``kary_step`` on tuples.
+arbitrarily long sequences stream without being materialized.  A mode
+picks only the join decision.  Binary sequences run one packed-integer loop
+(a machine word holds the window for n <= 63, a Python big int beyond)
+implementing ``successor.kary_step`` at k = 2, which the test suite checks
+against the tuple rule by exhaustive output comparison; other alphabets
+step ``kary_step`` on tuples.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -35,11 +35,11 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 class SequenceSpec:
     """What to generate: order, alphabet, length, and which rule drives it.
 
-    mode "counter" joins the first t weight-m period-h cycles met (binary or
-    k-ary); mode "successor" uses the context-free rule (binary only) and
-    accepts an optional start window, defaulting to 0^(n-1) 1.  A
-    successor-mode start must be a window of the target cycle; ``generate``
-    raises ValueError for any other window.
+    mode "counter" joins the first t weight-m period-h cycles met; mode
+    "successor" uses the context-free rule and accepts an optional start
+    window.  Either mode, for any k, starts by default one step after 0^n
+    (0^(n-1) 1 for k = 2).  A successor-mode start must be a window of the
+    target cycle; ``generate`` raises ValueError for any other window.
     """
 
     n: int
@@ -51,8 +51,6 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("counter", "successor"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "successor" and self.k != 2:
-            raise ValueError("successor mode requires k == 2")
         if self.start is not None:
             if self.mode != "successor":
                 raise ValueError("start window applies to successor mode only")
@@ -82,20 +80,20 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
     """
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
-    if spec.k != 2:
-        return _kary_symbols(params, cuts)
-    if spec.mode == "counter":
-        return _binary_symbols(params, cuts, 1, successor.counter_join(params))
+    joins = (successor.counter_join(params) if spec.mode == "counter"
+             else successor.threshold_join(params))
     if spec.start is None:
-        start = 1  # 0^(n-1) 1
+        zero = (0,) * params.n
+        start = zero[1:] + (successor.kary_step(zero, params, cuts, joins),)
     elif successor.on_target_cycle(tuple(spec.start), params, cuts):
-        start = pack(spec.start)
+        start = tuple(spec.start)
     else:
         raise ValueError(
             f"start window {''.join(map(str, spec.start))} is not on the "
             f"target cycle for n={spec.n}, L={spec.L}")
-    return _binary_symbols(params, cuts, start,
-                           successor.threshold_join(params))
+    if spec.k == 2:
+        return _binary_symbols(params, cuts, pack(start), joins)
+    return _kary_symbols(params, cuts, start, joins)
 
 
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
@@ -220,12 +218,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
         buf.clear()
 
 
-def _kary_symbols(params: CutParams, cuts: CutSet) -> Iterator[int]:
+def _kary_symbols(params: CutParams, cuts: CutSet, start: Word,
+                  joins: successor.Join) -> Iterator[int]:
     # successor.kary_step is looked up on the module at every call, so a
     # wrapper installed there sees each step
-    joins = successor.counter_join(params)
-    zero = (0,) * params.n
-    alpha = zero[1:] + (successor.kary_step(zero, params, cuts, joins),)
+    alpha = start
     for _ in range(params.L):
         yield alpha[0]
         alpha = alpha[1:] + (successor.kary_step(alpha, params, cuts, joins),)

@@ -6,9 +6,9 @@ register over any alphabet (``pcr3`` is its binary case); ``mc_step``
 restricts it to an arbitrary window set.  The one cut-down rule,
 ``kary_step``, serves every k >= 2 and takes a *join decision* for the
 weight-m period-h cycles: ``counter_join`` (the first t met; it counts, so
-one pass from the start) or, for k = 2, ``threshold_join`` (Lyndon word >=
-tau; stateless), which makes ``cut_down_successor`` context-free.  The rule
-is the readable reference for the packed binary loop in ``engine``.  A
+one pass from the start) or ``threshold_join`` (Lyndon word >= tau;
+stateless), which makes ``cut_down_successor`` context-free.  The rule is
+the readable reference for the packed binary loop in ``engine``.  A
 ``counter_join`` must be driven from a single thread; everything else here
 is safe to share.
 """
@@ -21,7 +21,7 @@ from functools import lru_cache
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
 from .ranking import unrank_lyndon
-from .words import Word, pack, period
+from .words import Word, least_rotation, pack, period
 
 
 def pcr3(word: Word) -> int:
@@ -79,6 +79,10 @@ def mc_step(word: Word, member: Callable[[Word], bool], k: int = 2) -> int:
     raise ValueError(f"no successor of {word} stays in the set")
 
 
+# joins(cand): join the weight-m period-h cycle that kary_step reaches from
+# below at window cand, packed as in pack?  cand is always a necklace of
+# period h: pcr3_alt must raise a1 to k - 1, so a1 = c - 1 for the least c
+# that makes the tail a necklace, and cand appends a symbol >= c to it.
 Join = Callable[[int], bool]
 
 
@@ -109,49 +113,45 @@ def counter_join(params: CutParams) -> Join:
 
 @lru_cache(maxsize=16)
 def _tau(params: CutParams) -> int:
-    h, w = params.h, params.m * params.h // params.n
-    return pack(unrank_lyndon(h, w, count_lyndon(h, w, 2) - params.t + 1))
+    k, h, w = params.k, params.h, params.m * params.h // params.n
+    tau = unrank_lyndon(h, w, count_lyndon(h, w, k) - params.t + 1, k)
+    return pack(tau * (params.n // h), k)
 
 
 def threshold_join(params: CutParams) -> Join:
-    """Join decision of the context-free rule (k == 2): join the t weight-m
-    period-h cycles with the largest Lyndon words of length h and weight
-    m*h/n, which are those >= tau, the (N - t + 1)-th of all N of them.
+    """Join decision of the context-free rule: join the t weight-m period-h
+    cycles with the largest Lyndon words of length h and weight m*h/n, which
+    are those >= tau, the (N - t + 1)-th of all N of them.
 
-    ``joins(cand)`` takes a period-h window packed as in ``pack`` and
-    compares the least rotation of its first h bits with tau, which is
-    unranked on first use and cached per parameter set.
+    ``joins(cand)`` takes a necklace of period h packed as in ``pack`` (see
+    ``Join``): its Lyndon block compares with tau as the whole window
+    compares with tau repeated n/h times, so one comparison decides.  tau
+    is unranked on first use and cached per parameter set.
     """
     def joins(cand: int) -> bool:
-        # all work happens here: cut_down_successor builds a join per window
-        h = params.h
-        block = cand >> (params.n - h)
-        low = (1 << h) - 1
-        return min((block << i | block >> (h - i)) & low
-                   for i in range(h)) >= _tau(params)
+        return cand >= _tau(params)
 
     return joins
 
 
 def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
-    """Context-free successor for a binary cut-down sequence: the next symbol
-    is a pure function of the current window.
+    """Context-free successor for a cut-down sequence over any alphabet: the
+    next symbol is a pure function of the current window.
 
     This is ``kary_step`` with ``threshold_join``, so no joined-cycle
     counter is needed.  Defined for windows of the target cycle
-    (``on_target_cycle``); elsewhere it returns some symbol in {0, 1} or
-    raises ValueError.
+    (``on_target_cycle``); elsewhere it returns some symbol in
+    {0, ..., k-1} or raises ValueError.
     """
-    if params.k != 2:
-        raise ValueError("the context-free successor requires k == 2")
     return kary_step(word, params, cuts, threshold_join(params))
 
 
 def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
-    """Is ``word`` a window of the binary cycle that ``cut_down_successor``
-    traces?  Those are the windows of weight < m, of weight m and period
-    < h, and of weight m and period h whose cycle ``threshold_join`` joins,
-    less the windows of the small cycles the markers cut.
+    """Is ``word`` a window of the cycle that ``cut_down_successor`` traces?
+
+    Those are the windows of weight < m, of weight m and period < h, and of
+    weight m and period h whose cycle ``threshold_join`` joins, less the
+    windows of the small cycles the markers cut.
     """
     m, h = params.m, params.h
     w = sum(word)
@@ -159,7 +159,8 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
         return False
     if w == m:
         p = period(word)
-        if p > h or (p == h and not threshold_join(params)(pack(word))):
+        if p > h or (p == h and not threshold_join(params)(
+                pack(least_rotation(word), params.k))):
             return False
     for size in cuts.sizes:
         cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)
@@ -180,10 +181,10 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
     heavier than m, which is on no cut-down cycle, raises ValueError when
     the cap is reached.
 
-    A counter-mode sequence starts one step after 0^n: usually at
-    0^(n-1)(k-1), but for small orders with k-1 >= m that window is too
-    heavy for the main cycle and the step lands on the weight-capped start
-    (possibly using a join).
+    A sequence starts by default one step after 0^n, in either mode:
+    usually at 0^(n-1)(k-1), but for small orders with k-1 >= m that window
+    is too heavy for the main cycle and the step lands on the weight-capped
+    start (possibly using a join).
     """
     k, m, h = params.k, params.m, params.h
     a1 = word[0]

@@ -43,8 +43,8 @@ def is_necklace(word: Sequence[int]) -> int | None:
 
     Single left-to-right scan maintaining the period of the prefix read so
     far; worst case O(n), with early exit at the first symbol that proves
-    some rotation is smaller.  This sits on the per-symbol hot path of the
-    successor rules, so it must not allocate.
+    some rotation is smaller, and no allocation.  ``ranking`` uses it to
+    filter candidates in its enumeration oracle.
     """
     p = 1
     for i in range(1, len(word)):

@@ -55,6 +55,16 @@ def test_generate_successor_off_cycle_start_exit_2(capsys):
     assert "not on the target cycle" in err
 
 
+def test_generate_kary_successor_off_cycle_start_exit_2(capsys):
+    # weight 9 is above m for n=3, k=4, L=50
+    code, out, err = run_cli(capsys, "generate", "--n", "3", "--k", "4",
+                             "--len", "50", "--mode", "successor",
+                             "--start", "333")
+    assert code == 2
+    assert out == ""
+    assert "not on the target cycle" in err
+
+
 def test_generate_range_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "generate", "--n", "6", "--k", "2",
                              "--len", "512")
@@ -122,6 +132,10 @@ def test_verify_csv_input(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--n", "2", "--k", "4",
                          stdin="0,3,1,2", monkeypatch=monkeypatch)
     assert code == 0
+    # whitespace around a field is not part of it
+    code, out, _ = run_cli(capsys, "verify", "--n", "1", "--k", "12",
+                           stdin="0, 1 ,2\n", monkeypatch=monkeypatch)
+    assert code == 0 and out.startswith("ok: 3 symbols")
 
 
 def test_generate_pipe_verify(capsys, monkeypatch):
@@ -156,6 +170,25 @@ def test_verify_rejects_non_digit_bytes(capsys, monkeypatch, tmp_path,
     bad = next(b for b in data if not (b in b"0123456789,"))
     assert err == (f"error: unexpected byte 0x{bad:02x} in the symbols: only "
                    f"ASCII digits, commas and whitespace may appear\n")
+
+
+@pytest.mark.parametrize("data", [b"0,1_0,2", b"0,+1,2", b"0,-1,2"],
+                         ids=["underscore", "plus", "minus"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_rejects_csv_fields_int_would_take(capsys, monkeypatch,
+                                                  tmp_path, data, source):
+    # int() reads "1_0" as 10 and "+1" as 1; a csv field is digits only
+    argv = ["verify", "--n", "1", "--k", "12"]
+    if source == "file":
+        path = tmp_path / "seq.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, str(path))
+    else:
+        code, out, err = run_cli(capsys, *argv, stdin=data,
+                                 monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    bad = next(b for b in data if b not in b"0123456789,")
+    assert err.startswith(f"error: unexpected byte 0x{bad:02x} in the symbols")
 
 
 def test_verify_digits_with_whitespace(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutdown.cutplan import cut_set, derive_params
@@ -106,8 +106,8 @@ def test_successor_mode_streams_in_bounded_memory(n, L):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="successor mode requires k == 2"):
-        SequenceSpec(n=3, k=4, L=50, mode="successor")
+    seq = collect(SequenceSpec(n=3, k=4, L=50, mode="successor"))
+    assert verify(seq, 3, 4, expected_len=50).ok
     with pytest.raises(ValueError, match="mode"):
         SequenceSpec(n=3, k=2, L=5, mode="zigzag")
     with pytest.raises(ValueError, match="length n"):
@@ -187,6 +187,56 @@ def test_packed_loop_equals_tuple_rule_at_large_n(data):
                      2000)
     spec = SequenceSpec(n=n, k=2, L=L, mode=mode, start=start)
     assert list(itertools.islice(generate(spec), 2000)) == ref
+
+
+# --- k-ary successor mode --------------------------------------------------
+
+@pytest.mark.parametrize("k, n_max", [(3, 6), (4, 5), (5, 4), (6, 3)])
+def test_kary_successor_mode_sweep(k, n_max):
+    for n in range(2, n_max + 1):
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            seq = collect(SequenceSpec(n=n, k=k, L=L, mode="successor"))
+            assert verify(seq, n, k, expected_len=L).ok, (k, n, L)
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 5), (4, 4), (5, 3)])
+def test_kary_successor_orbit_is_the_target_cycle(k, n_max):
+    # the windows the default start visits are exactly the windows
+    # on_target_cycle accepts
+    for n in range(2, n_max + 1):
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            params = derive_params(n, k, L)
+            cuts = cut_set(params.s, n)
+            seq = collect(SequenceSpec(n=n, k=k, L=L, mode="successor"))
+            visited = {tuple((seq + seq)[i:i + n]) for i in range(L)}
+            members = {word for word in itertools.product(range(k), repeat=n)
+                       if on_target_cycle(word, params, cuts)}
+            assert visited == members, (k, n, L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_successor_mode_from_any_window_stays_on_the_cycle(data):
+    # a random window of weight <= m; when off the cycle, its last nonzero
+    # symbol is lowered once, which leaves only the cut small cycles
+    k = data.draw(st.integers(2, 5), label="k")
+    n = data.draw(st.integers(2, 12), label="n")
+    L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
+    params = derive_params(n, k, L)
+    cuts = cut_set(params.s, n)
+    start, budget = [], params.m
+    for _ in range(n):
+        start.append(data.draw(st.integers(0, min(k - 1, budget))))
+        budget -= start[-1]
+    if not on_target_cycle(tuple(start), params, cuts) and any(start):
+        i = max(j for j, c in enumerate(start) if c)
+        start[i] -= 1
+    assume(on_target_cycle(tuple(start), params, cuts))
+    spec = SequenceSpec(n=n, k=k, L=L, mode="successor", start=tuple(start))
+    head = list(itertools.islice(generate(spec), 2000))
+    windows = [tuple(head[i:i + n]) for i in range(len(head) - n + 1)]
+    assert all(on_target_cycle(w, params, cuts) for w in windows)
+    assert len(set(windows)) == len(windows)
 
 
 # sha256 over every k-ary sequence for 2 <= n <= n_max and every L, as

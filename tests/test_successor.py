@@ -405,21 +405,56 @@ def test_kary_heavy_start_window_configurations():
 def test_every_window_gives_a_symbol_or_value_error(n, k):
     # on-cycle windows give a symbol in range; a window heavier than m may
     # instead raise ValueError, but no window yields a symbol outside the
-    # alphabet
-    mode, make_join = (("successor", threshold_join) if k == 2
-                       else ("counter", counter_join))
-    for L in range(k ** (n - 1) + 1, k ** n + 1):
-        params = derive_params(n, k, L)
-        cuts = cut_set(params.s, n)
-        seq = list(generate(SequenceSpec(n=n, k=k, L=L, mode=mode)))
-        on_cycle = {tuple((seq + seq)[i:i + n]) for i in range(L)}
-        for word in product(range(k), repeat=n):
-            try:
-                x = kary_step(word, params, cuts, make_join(params))
-            except ValueError:
-                assert word not in on_cycle and sum(word) > params.m, (L, word)
-            else:
-                assert 0 <= x < k, (L, word, x)
+    # alphabet, under either join decision
+    for mode, make_join in (("counter", counter_join),
+                            ("successor", threshold_join)):
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            params = derive_params(n, k, L)
+            cuts = cut_set(params.s, n)
+            seq = list(generate(SequenceSpec(n=n, k=k, L=L, mode=mode)))
+            on_cycle = {tuple((seq + seq)[i:i + n]) for i in range(L)}
+            for word in product(range(k), repeat=n):
+                try:
+                    x = kary_step(word, params, cuts, make_join(params))
+                except ValueError:
+                    assert word not in on_cycle and sum(word) > params.m, (
+                        mode, L, word)
+                else:
+                    assert 0 <= x < k, (mode, L, word, x)
+
+
+def unpack(value, n, k):
+    word = []
+    for _ in range(n):
+        value, c = divmod(value, k)
+        word.append(c)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 8), (3, 5), (4, 4), (5, 3)])
+def test_join_candidates_are_necklaces_of_period_h(k, n_max):
+    # the precondition threshold_join relies on: from every window of
+    # weight <= m, each candidate kary_step asks about is a necklace whose
+    # period is h
+    asked = 0
+    for n in range(2, n_max + 1):
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            params = derive_params(n, k, L)
+            cuts = cut_set(params.s, n)
+            candidates = []
+
+            def joins(cand):
+                candidates.append(cand)
+                return threshold_join(params)(cand)
+
+            for word in product(range(k), repeat=n):
+                if sum(word) <= params.m:
+                    kary_step(word, params, cuts, joins)
+            for cand in candidates:
+                assert is_necklace(unpack(cand, n, k)) == params.h, (
+                    k, n, L, unpack(cand, n, k))
+            asked += len(candidates)
+    assert asked > 100
 
 
 def test_heavy_windows_raise():

@@ -46,16 +46,18 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
-@pytest.mark.parametrize("n, k, L, fmt", [(6, 2, 46, ()), (3, 4, 50, ()),
-                                          (2, 12, 100, ("--format", "csv"))],
-                         ids=["n6-k2", "n3-k4", "n2-k12-csv"])
-def test_generate_pipes_into_verify(n, k, L, fmt):
+@pytest.mark.parametrize("n, k, L, mode, fmt", [
+    (6, 2, 46, "counter", ()), (3, 4, 50, "counter", ()),
+    (2, 12, 100, "counter", ("--format", "csv")),
+    (3, 4, 50, "successor", ())],
+    ids=["n6-k2", "n3-k4", "n2-k12-csv", "n3-k4-successor"])
+def test_generate_pipes_into_verify(n, k, L, mode, fmt):
     # two python -O processes joined by an OS pipe, as a shell runs them:
     # what stdout writes (bytes for digits, text for csv) is what stdin reads
     cli = [sys.executable, "-O", "-m", "cutdown.cli"]
     size = ["--n", str(n), "--k", str(k), "--len", str(L)]
-    with subprocess.Popen([*cli, "generate", *size, *fmt], env=_env(),
-                          stdout=subprocess.PIPE) as gen:
+    with subprocess.Popen([*cli, "generate", *size, "--mode", mode, *fmt],
+                          env=_env(), stdout=subprocess.PIPE) as gen:
         ver = subprocess.run([*cli, "verify", "--json", *size, *fmt],
                              env=_env(), stdin=gen.stdout,
                              capture_output=True, timeout=60)
