@@ -24,18 +24,12 @@ from .counting import count_lyndon, count_strings
 from .cutplan import cut_set, derive_params
 from .engine import _CHUNK, SequenceSpec, VerifyReport, generate, verify
 from .ranking import rank_lyndon
-from .words import Word
+from .words import format_word
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # ASCII digit -> symbol 0..9, every other byte -> 255; and back
 _DECODE = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
 _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
-def _format_word(word: Word, k: int) -> str:
-    if k <= 10:
-        return "".join(str(c) for c in word)
-    return ",".join(str(c) for c in word)
 
 
 def _parse_symbols(data: bytes, fmt: str | None) -> bytes | list[int]:
@@ -102,7 +96,7 @@ def _report_json(report: VerifyReport, k: int) -> dict:
     dup = None
     if report.first_duplicate is not None:
         window, (first, second) = report.first_duplicate
-        dup = {"window": _format_word(window, k), "positions": [first, second]}
+        dup = {"window": format_word(window, k), "positions": [first, second]}
     return {
         "ok": report.ok,
         "length": report.length,
@@ -119,7 +113,7 @@ def _report_text(report: VerifyReport, k: int) -> str:
                 f"{report.out_of_range_symbol}")
     if report.first_duplicate is not None:
         window, (first, second) = report.first_duplicate
-        return (f"invalid: window {_format_word(window, k)} repeats at "
+        return (f"invalid: window {format_word(window, k)} repeats at "
                 f"positions {first} and {second} (cyclic)")
     return f"invalid: length {report.length} does not match --len"
 
@@ -127,7 +121,7 @@ def _report_text(report: VerifyReport, k: int) -> str:
 def _cmd_params(args: argparse.Namespace) -> int:
     params = derive_params(args.n, args.k, args.len)
     cuts = cut_set(params.s, params.n)
-    markers = [_format_word(w, args.k) for w in cuts.markers]
+    markers = [format_word(w, args.k) for w in cuts.markers]
     if args.json:
         payload = {"n": params.n, "k": params.k, "L": params.L,
                    "m": params.m, "h": params.h, "t": params.t, "s": params.s,

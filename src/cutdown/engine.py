@@ -2,11 +2,15 @@
 
 ``generate`` yields symbols one at a time and keeps only O(n) state, so
 arbitrarily long sequences stream without being materialized.  A mode
-picks only the join decision.  Binary sequences run one packed-integer loop
-(a machine word holds the window for n <= 63, a Python big int beyond)
-implementing ``successor.kary_step`` at k = 2, which the test suite checks
-against the tuple rule by exhaustive output comparison; other alphabets
-step ``kary_step`` on tuples.
+picks only the join decision.  Two loops implement ``successor.kary_step``,
+both modes alike, and copy the runs of plain rotations between the steps
+where a window's tail can be a prenecklace: binary sequences run on packed
+integers (a machine word holds the window for n <= 63, a Python big int
+beyond), larger alphabets on a list holding the current block.  The k-ary
+loop runs the ``pcr3_alt`` scan itself and hands ``kary_step`` only the
+rare steps that reach the weight cap or a marker.  The test suite checks
+both loops against the tuple rule by exhaustive output comparison at small
+n and on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -25,7 +29,7 @@ from itertools import chain, islice
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
-from .words import Word, pack
+from .words import Word, format_word, pack
 
 _CHUNK = 8192
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -89,11 +93,11 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
         start = tuple(spec.start)
     else:
         raise ValueError(
-            f"start window {''.join(map(str, spec.start))} is not on the "
+            f"start window {format_word(spec.start, spec.k)} is not on the "
             f"target cycle for n={spec.n}, L={spec.L}")
     if spec.k == 2:
         return _binary_symbols(params, cuts, pack(start), joins)
-    return _kary_symbols(params, cuts, start, joins)
+    return _list_symbols(params, cuts, start, joins)
 
 
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
@@ -107,14 +111,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     #
     # Between necklace probes the window only rotates, so such runs of
     # steps are copied out of the window in one go.  The probe at step t is
-    # the window rotated to start at position t + 1 with bit t set.  It can
-    # be a necklace only if position t + 1 starts a longest 0-run of the
-    # window (bit t is 1), or, when the window has a single longest run of
-    # z 0s, lies in that run's first (z + 1) // 2 + 1 positions (bit t is 0
-    # and splits the run; the part after t must be no shorter than the part
-    # before).  cmask marks those positions, MSB = position 0; steps at
-    # other positions are plain rotations, unless the window is a rotation
-    # of a marker, where every position is marked.
+    # the window rotated to start at position t + 1 with bit t set, so it
+    # can be a necklace only where _tail_starts marks position t + 1.
+    # cmask holds those marks, MSB = position 0; steps at other positions
+    # are plain rotations, unless the window is a rotation of a marker,
+    # where every position is marked.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -125,26 +126,10 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     marked = {((r << j) | (r >> (n - j))) & mask
               for r in markers for j in range(n)}
 
-    def candidates(a: int) -> int:
-        zeros = mask ^ a
-        if zeros == 0 or zeros == mask or a in marked:
-            return mask
-        runs, z = zeros, 1  # runs: starts of z-long runs of 0s
-        while True:
-            longer = runs & (((zeros << z) & mask) | (zeros >> (n - z)))
-            if not longer:
-                break
-            runs, z = longer, z + 1
-        if runs & (runs - 1):
-            return runs
-        u = n - runs.bit_length()
-        c = (z + 1) // 2
-        span = ((2 << c) - 1) << (top - c)  # positions 0..c
-        return ((span >> u) | (span << (n - u))) & mask
-
     alpha = start
     w = start.bit_count()
-    cmask = candidates(alpha)
+    # the least symbol is 0, or 1 in the all-1s window
+    cmask = mask if alpha in marked else _tail_starts(mask ^ alpha or mask, n)
     # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
     buf = bytearray()
     append = buf.append
@@ -213,19 +198,114 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             else:
-                cmask = candidates(alpha)
+                cmask = (mask if alpha in marked
+                         else _tail_starts(mask ^ alpha or mask, n))
         yield from buf.translate(_DIGITS)
         buf.clear()
 
 
-def _kary_symbols(params: CutParams, cuts: CutSet, start: Word,
+def _tail_starts(least: int, n: int) -> int:
+    # The positions of a cyclic length-n window (MSB = position 0) where a
+    # tail, the n - 1 symbols from there on, can be a prenecklace, given
+    # the positions of the window's least symbol.  A prenecklace begins
+    # with a longest run of its least symbol.  So a tail can start only at
+    # the start of a longest run of that symbol (the dropped symbol is
+    # larger), or, when the window has a single longest run of z, in that
+    # run's first (z + 1) // 2 + 1 positions (the dropped symbol splits the
+    # run, and the part after it must be no shorter than the part before).
+    # A constant window marks every position.
+    full = (1 << n) - 1
+    if least == full:
+        return full
+    runs, z = least, 1  # runs: starts of z-long runs of the least symbol
+    while True:
+        longer = runs & (((least << z) & full) | (least >> (n - z)))
+        if not longer:
+            break
+        runs, z = longer, z + 1
+    if runs & (runs - 1):
+        return runs
+    u = n - runs.bit_length()
+    c = (z + 1) // 2
+    span = ((2 << c) - 1) << (n - 1 - c)  # positions 0..c
+    return ((span >> u) | (span << (n - u))) & full
+
+
+def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[int]:
-    # successor.kary_step is looked up on the module at every call, so a
-    # wrapper installed there sees each step
-    alpha = start
-    for _ in range(params.L):
-        yield alpha[0]
-        alpha = alpha[1:] + (successor.kary_step(alpha, params, cuts, joins),)
+    # successor.kary_step for any k on a list holding the current block:
+    # the window at step i is seq[i:i + n].  As in _binary_symbols, cmask
+    # (MSB = position 0) marks where _tail_starts says a tail can be a
+    # prenecklace, here of the window's least symbol, and the plain
+    # rotations between marks are copied as slices.  A marked step runs the
+    # pcr3_alt scan inline.  Its symbol stands when it is the dropped one,
+    # or when it keeps the weight below m and lands on no marker; any other
+    # step, and every step while the window is a rotation of a marker
+    # (hot), goes to successor.kary_step.  That is looked up on the module
+    # at every call, so a wrapper installed there sees each such step.
+    n, k, L, m = params.n, params.k, params.L, params.m
+    full = (1 << n) - 1
+    top = n - 1
+    low = full >> 1
+    markers = [list(w) for w in cuts.markers]
+    marked = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+
+    def candidates(window: list[int]) -> tuple[int, bool]:
+        if tuple(window) in marked:
+            return full, True
+        v = min(window)
+        least = 0
+        for c in window:
+            least += least + (c == v)
+        return _tail_starts(least, n), False
+
+    seq = list(start)
+    w = sum(start)
+    cmask, hot = candidates(seq)
+    i = 0
+    remaining = L
+    while remaining:
+        block = min(max(L - remaining, 64), _CHUNK, remaining)
+        remaining -= block
+        while block:
+            c = cmask & low
+            q = min(top - c.bit_length() if c else top, block)
+            if q:
+                seq += seq[i:i + q]
+                i += q
+                cmask = ((cmask << q) & full) | (cmask >> (n - q))
+                block -= q
+                if not block:
+                    break
+            block -= 1
+            win = seq[i:i + n]
+            a1 = win[0]
+            # pcr3_alt on win: one scan of the tail win[1:]
+            p = 1
+            for j in range(2, n):
+                b, d = win[j - p], win[j]
+                if b > d:
+                    x = a1
+                    break
+                if b < d:
+                    p = j
+            else:
+                b = win[-p]
+                c = b if b and n % p == 0 else b + 1
+                x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
+            if hot or x != a1 and (
+                    w - a1 + x >= m or win[1:] + [x] in markers):
+                x = successor.kary_step(tuple(win), params, cuts, joins)
+            seq.append(x)
+            i += 1
+            if x == a1:
+                cmask = ((cmask << 1) & full) | (cmask >> top)
+            else:
+                w += x - a1
+                cmask, hot = candidates(seq[i:])
+        yield from seq[:i]
+        del seq[:i]
+        i = 0
 
 
 def verify(seq: Iterable[int], n: int, k: int,

@@ -8,9 +8,10 @@ restricts it to an arbitrary window set.  The one cut-down rule,
 weight-m period-h cycles: ``counter_join`` (the first t met; it counts, so
 one pass from the start) or ``threshold_join`` (Lyndon word >= tau;
 stateless), which makes ``cut_down_successor`` context-free.  The rule is
-the readable reference for the packed binary loop in ``engine``.  A
-``counter_join`` must be driven from a single thread; everything else here
-is safe to share.
+the readable reference for both loops in ``engine``; the k-ary loop also
+calls it, through this module, for its rare steps that reach the weight cap
+or land on a marker.  A ``counter_join`` must be driven from a single
+thread; everything else here is safe to share.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Primitive operations on fixed-length words over {0, ..., k-1}.
 
 A word is a plain sequence (tuple or list) of small non-negative integers;
-functions return tuples.  Nothing here depends on the alphabet size, and all
-functions are pure, so they are safe for unrestricted concurrent use.
+functions that return words return tuples.  Only ``pack`` and
+``format_word`` take the alphabet size, and all functions are pure, so they
+are safe for unrestricted concurrent use.
 
 Terminology: a *necklace* is a word that is lexicographically <= every
 rotation of itself; the *period* of a word is the smallest p dividing its
@@ -30,6 +31,12 @@ def pack(word: Sequence[int], k: int = 2) -> int:
     for c in word:
         value = value * k + c
     return value
+
+
+def format_word(word: Sequence[int], k: int) -> str:
+    """``word`` as text: a digit string for k <= 10, comma-separated
+    decimals beyond, as the command line reads and writes words."""
+    return ("" if k <= 10 else ",").join(map(str, word))
 
 
 def rotate(word: Sequence[int], j: int) -> Word:

@@ -65,6 +65,16 @@ def test_generate_kary_successor_off_cycle_start_exit_2(capsys):
     assert "not on the target cycle" in err
 
 
+def test_off_cycle_start_message_names_symbols_above_9(capsys):
+    # the message writes the window as the command line reads it
+    code, out, err = run_cli(capsys, "generate", "--n", "2", "--k", "12",
+                             "--len", "100", "--mode", "successor",
+                             "--start", "11,11", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "start window 11,11 is not on the target cycle" in err
+
+
 def test_generate_range_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "generate", "--n", "6", "--k", "2",
                              "--len", "512")

@@ -86,21 +86,23 @@ def test_successor_start_accepted_iff_on_the_cycle():
                         generate(spec)
 
 
-@pytest.mark.parametrize("n, L", [
-    (30, 2 ** 30),
-    (30, 3 * 2 ** 28),  # h == n: tau is one of 3,991,995 Lyndon words
-    (60, 3 * 2 ** 58),
-])
-def test_successor_mode_streams_in_bounded_memory(n, L):
+@pytest.mark.parametrize("n, k, L", [
+    (30, 2, 2 ** 30),
+    (30, 2, 3 * 2 ** 28),  # h == n: tau is one of 3,991,995 Lyndon words
+    (60, 2, 3 * 2 ** 58),
+    (30, 4, 3 * 4 ** 29),  # h == n
+], ids=["30-1073741824", "30-805306368", "60-864691128455135232",
+        "k4-30-864691128455135232"])
+def test_successor_mode_streams_in_bounded_memory(n, k, L):
     tracemalloc.start()
     try:
         head = list(itertools.islice(
-            generate(SequenceSpec(n=n, k=2, L=L, mode="successor")), 10 ** 4))
+            generate(SequenceSpec(n=n, k=k, L=L, mode="successor")), 10 ** 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
-    assert head[:n] == [0] * (n - 1) + [1]
+    assert head[:n] == [0] * (n - 1) + [k - 1]
     windows = {tuple(head[i:i + n]) for i in range(len(head) - n + 1)}
     assert len(windows) == len(head) - n + 1
 
@@ -131,62 +133,100 @@ def test_generate_verify_round_trip_binary(n):
         assert report.ok, (n, L, report)
 
 
+# (k, n_max) for k > 2 of the sweeps that compare the engine loops with the
+# tuple rule at every L
+KARY_SWEEP = [(3, 6), (4, 4), (5, 3), (6, 3)]
+
+
+def start_after_zero(params, cuts, joins):
+    # the engine's default start: one step of the rule after 0^n
+    zero = (0,) * params.n
+    return zero[1:] + (kary_step(zero, params, cuts, joins),)
+
+
 def test_fast_loop_equals_stepper_everywhere():
-    # packed-int engine loop vs the tuple rule with counter_join
-    for n in range(2, 10):
-        for L in range(2 ** (n - 1) + 1, 2 ** n + 1):
-            params = derive_params(n, 2, L)
-            cuts = cut_set(params.s, n)
-            joins = counter_join(params)
-            stepped, _ = iterate((0,) * (n - 1) + (1,),
-                                 lambda w: kary_step(w, params, cuts, joins),
-                                 L)
-            assert stepped == collect(SequenceSpec(n=n, k=2, L=L)), (n, L)
+    # engine loops (packed for k = 2, list for k > 2) vs the tuple rule
+    # with counter_join
+    for k, n_max in [(2, 9), *KARY_SWEEP]:
+        for n in range(2, n_max + 1):
+            for L in range(k ** (n - 1) + 1, k ** n + 1):
+                params = derive_params(n, k, L)
+                cuts = cut_set(params.s, n)
+                joins = counter_join(params)
+                stepped, _ = iterate(
+                    start_after_zero(params, cuts, joins),
+                    lambda w: kary_step(w, params, cuts, joins), L)
+                assert stepped == collect(SequenceSpec(n=n, k=k, L=L)), (
+                    k, n, L)
 
 
 def test_successor_mode_equals_the_tuple_rule_everywhere():
-    # packed engine loop vs iterating cut_down_successor, from five windows
-    # of the cycle; the rule is a pure function of the window, so once the
+    # engine loops vs iterating cut_down_successor, from five windows of
+    # the cycle; the rule is a pure function of the window, so once the
     # reference run closes its cycle, the run from its i-th window is its
     # rotation by i
-    for n in range(2, 11):
-        for L in range(2 ** (n - 1) + 1, 2 ** n + 1):
-            params = derive_params(n, 2, L)
-            cuts = cut_set(params.s, n)
-            first = (0,) * (n - 1) + (1,)
-            ref, last = iterate(
-                first, lambda w: cut_down_successor(w, params, cuts), L)
-            assert last == first, (n, L)
-            doubled = ref + ref
-            for i in {0, 1, L // 3, L // 2, L - 1}:
-                spec = SequenceSpec(n=n, k=2, L=L, mode="successor",
-                                    start=tuple(doubled[i:i + n]))
-                assert collect(spec) == doubled[i:i + L], (n, L, i)
+    for k, n_max in [(2, 10), *KARY_SWEEP]:
+        for n in range(2, n_max + 1):
+            for L in range(k ** (n - 1) + 1, k ** n + 1):
+                params = derive_params(n, k, L)
+                cuts = cut_set(params.s, n)
+                first = start_after_zero(params, cuts, threshold_join(params))
+                ref, last = iterate(
+                    first, lambda w: cut_down_successor(w, params, cuts), L)
+                assert last == first, (k, n, L)
+                doubled = ref + ref
+                for i in {0, 1, L // 3, L // 2, L - 1}:
+                    spec = SequenceSpec(n=n, k=k, L=L, mode="successor",
+                                        start=tuple(doubled[i:i + n]))
+                    assert collect(spec) == doubled[i:i + L], (k, n, L, i)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_packed_loop_equals_tuple_rule_at_large_n(data):
-    # first 2000 symbols; successor runs start at a random window of weight
-    # m - 1, from where the period-h join branch is soon reached
-    n = data.draw(st.integers(20, 64), label="n")
-    L = data.draw(st.integers(2 ** (n - 1) + 1, 2 ** n), label="L")
+    # first 2000 symbols, k <= 10, with k^n between about 2^20 and 2^64;
+    # successor runs start at a random window of weight m - 1, from where
+    # the period-h join branch is soon reached
+    k = data.draw(st.integers(2, 10), label="k")
+    bits = (k - 1).bit_length()
+    n = data.draw(st.integers(20 // bits, 64 // bits), label="n")
+    L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
     mode = data.draw(st.sampled_from(["counter", "successor"]), label="mode")
-    params = derive_params(n, 2, L)
+    params = derive_params(n, k, L)
     cuts = cut_set(params.s, n)
-    if mode == "counter":
-        alpha, start, joins = (0,) * (n - 1) + (1,), None, counter_join(params)
-    else:
-        ones = data.draw(st.sets(st.integers(0, n - 1), min_size=params.m - 1,
-                                 max_size=params.m - 1), label="ones")
-        alpha = start = tuple(int(i in ones) for i in range(n))
-        if not on_target_cycle(start, params, cuts):
-            alpha, start = (0,) * (n - 1) + (1,), None
-        joins = threshold_join(params)
+    joins = (counter_join if mode == "counter" else threshold_join)(params)
+    start = None
+    if mode == "successor":
+        word, budget = [], params.m - 1
+        for left in range(n - 1, -1, -1):
+            word.append(data.draw(st.integers(
+                max(0, budget - (k - 1) * left), min(k - 1, budget))))
+            budget -= word[-1]
+        word = tuple(data.draw(st.permutations(word), label="start"))
+        if on_target_cycle(word, params, cuts):
+            start = word
+    alpha = start or start_after_zero(params, cuts, joins)
     ref, _ = iterate(alpha, lambda w: kary_step(w, params, cuts, joins),
                      2000)
-    spec = SequenceSpec(n=n, k=2, L=L, mode=mode, start=start)
+    spec = SequenceSpec(n=n, k=k, L=L, mode=mode, start=start)
     assert list(itertools.islice(generate(spec), 2000)) == ref
+
+
+@pytest.mark.parametrize("k", [257, 300])
+def test_alphabets_beyond_a_byte(k):
+    # symbols above 255 go through the list loop unchanged
+    n = 2
+    for L in (k + 1, k * k // 2, k * k - 1, k * k):
+        params = derive_params(n, k, L)
+        cuts = cut_set(params.s, n)
+        for mode in ("counter", "successor"):
+            joins = (counter_join if mode == "counter"
+                     else threshold_join)(params)
+            ref, _ = iterate(start_after_zero(params, cuts, joins),
+                             lambda w: kary_step(w, params, cuts, joins), L)
+            seq = collect(SequenceSpec(n=n, k=k, L=L, mode=mode))
+            assert seq == ref, (k, L, mode)
+            assert verify(seq, n, k, expected_len=L).ok, (k, L, mode)
 
 
 # --- k-ary successor mode --------------------------------------------------
@@ -259,20 +299,21 @@ def test_kary_output_pinned(k, n_max):
 
 
 def test_first_symbol_comes_before_a_full_block():
-    # the packed loop's buffered blocks grow from 64 symbols, so the first
-    # symbol costs far less than a full 8192-symbol block
-    spec = SequenceSpec(n=60, k=2, L=3 * 2 ** 58)
-    first = block = float("inf")
-    for _ in range(3):
-        gen = generate(spec)
-        t0 = time.perf_counter()
-        next(gen)
-        first = min(first, time.perf_counter() - t0)
-        gen = generate(spec)
-        t0 = time.perf_counter()
-        list(itertools.islice(gen, 8192))
-        block = min(block, time.perf_counter() - t0)
-    assert first < block / 4, (first, block)
+    # both loops' buffered blocks grow from 64 symbols, so the first symbol
+    # costs far less than a full 8192-symbol block
+    for spec in (SequenceSpec(n=60, k=2, L=3 * 2 ** 58),
+                 SequenceSpec(n=30, k=4, L=3 * 4 ** 29)):
+        first = block = float("inf")
+        for _ in range(3):
+            gen = generate(spec)
+            t0 = time.perf_counter()
+            next(gen)
+            first = min(first, time.perf_counter() - t0)
+            gen = generate(spec)
+            t0 = time.perf_counter()
+            list(itertools.islice(gen, 8192))
+            block = min(block, time.perf_counter() - t0)
+        assert first < block / 4, (spec.k, first, block)
 
 
 def test_full_length_window_sets_complete():

@@ -4,7 +4,14 @@ from itertools import product
 
 import pytest
 
-from cutdown.words import is_necklace, least_rotation, period, rotate, weight
+from cutdown.words import (
+    format_word,
+    is_necklace,
+    least_rotation,
+    period,
+    rotate,
+    weight,
+)
 
 from refdata import to_word
 
@@ -82,3 +89,8 @@ def test_rotation_invariants(n, k):
             rot = rotate(word, j)
             assert least_rotation(rot) == lr
             assert weight(rot) == weight(word)
+
+
+def test_format_word_uses_commas_beyond_ten_symbols():
+    assert format_word((0, 9, 1), 10) == "091"
+    assert format_word((11, 0, 11), 12) == "11,0,11"
