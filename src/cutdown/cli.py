@@ -6,6 +6,13 @@ sequences use digit strings for alphabets up to size 10 and comma-separated
 decimals beyond that.  Digit strings are read and written as bytes, a block
 at a time: only the ASCII digits and whitespace may appear in them.
 
+`verify` reads its file or standard input in 64 KiB blocks and decodes
+each one, digits with one `translate` and csv field by field, with a
+field cut by a block end carried into the next block.  The decoded blocks
+go straight to `engine.verify`, which reads a file again when a window
+repeats and spools standard input to a temporary file.  So it holds the
+k^n-byte window table and a block, never the whole input.
+
 Exit status: 0 on success, 1 when `verify` rejects its input, 2 for
 argument or range errors, including a successor-mode start window that is
 not on the target cycle.
@@ -17,34 +24,81 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
-from itertools import islice
+from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
+from itertools import chain, islice
 
 from .counting import count_lyndon, count_strings
 from .cutplan import cut_set, derive_params
-from .engine import _CHUNK, SequenceSpec, VerifyReport, generate, verify
+from .engine import (
+    _CHUNK,
+    SequenceSpec,
+    VerifyReport,
+    _Blocks,
+    generate,
+    verify,
+)
 from .ranking import rank_lyndon
 from .words import format_word
 
+_BLOCK = 1 << 16  # verify reads its input in blocks of this many bytes
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # ASCII digit -> symbol 0..9, every other byte -> 255; and back
 _DECODE = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
 _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _parse_symbols(data: bytes, fmt: str | None) -> bytes | list[int]:
-    """Digit strings decode to bytes of symbols 0..9; csv to a list."""
-    if fmt == "csv" or (fmt is None and b"," in data):
-        # a field is a plain run of ASCII digits: no sign, no "_"
-        fields = [part.strip() for part in data.split(b",")]
-        for part in fields:
-            if part and not part.isdigit():
-                raise _bad_byte(part.translate(None, b"0123456789")[0])
-        return [int(part) for part in fields if part]
-    symbols = data.translate(_DECODE, _WHITESPACE)
-    if 255 in symbols:
-        raise _bad_byte(data.translate(None, b"0123456789" + _WHITESPACE)[0])
-    return symbols
+def _decode(raw: Iterable[bytes],
+            fmt: str | None) -> Iterator[bytes | list[int]]:
+    """Decode blocks of text into blocks of symbols: digit strings into
+    bytes of symbols 0..9, csv into lists.  Leading blocks of whitespace
+    are passed over; with no format given, the first other block picks
+    csv if it holds a comma.  A csv field cut by a block end is carried
+    into the next block."""
+    raw = iter(raw)
+    for block in raw:
+        if block.strip():
+            break
+    else:
+        return
+    if fmt == "csv" or (fmt is None and b"," in block):
+        carry = b""
+        for block in chain([block], raw):
+            *fields, carry = (carry + block).split(b",")
+            yield _csv_symbols(fields)
+        yield _csv_symbols([carry])
+        return
+    for block in chain([block], raw):
+        symbols = block.translate(_DECODE, _WHITESPACE)
+        if 255 in symbols:
+            raise _bad_byte(
+                block.translate(None, b"0123456789" + _WHITESPACE)[0])
+        yield symbols
+
+
+def _csv_symbols(fields: list[bytes]) -> list[int]:
+    # a field is a plain run of ASCII digits: no sign, no "_"
+    fields = [part.strip() for part in fields]
+    for part in fields:
+        if part and not part.isdigit():
+            raise _bad_byte(part.translate(None, b"0123456789")[0])
+    return [int(part) for part in fields if part]
+
+
+def _parse_word(text: str) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(_decode([os.fsencode(text)], None)))
+
+
+class _FileBlocks:
+    """The decoded blocks of a file, read afresh on every iteration."""
+
+    def __init__(self, path: str, fmt: str | None) -> None:
+        self.path, self.fmt = path, fmt
+
+    def __iter__(self) -> Iterator[bytes | list[int]]:
+        with open(self.path, "rb") as handle:
+            yield from _decode(iter(partial(handle.read, _BLOCK), b""),
+                               self.fmt)
 
 
 def _bad_byte(byte: int) -> ValueError:
@@ -56,8 +110,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     fmt = args.format or ("digits" if args.k <= 10 else "csv")
     if fmt == "digits" and args.k > 10:
         raise ValueError("digits format is ambiguous for k > 10; use --format csv")
-    start = (tuple(_parse_symbols(os.fsencode(args.start), None))
-             if args.start else None)
+    start = _parse_word(args.start) if args.start else None
     spec = SequenceSpec(n=args.n, k=args.k, L=args.len, mode=args.mode,
                         start=start)
     symbols = generate(spec)
@@ -78,13 +131,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # a file is read again for each pass; verify spools standard input
     if args.input and args.input != "-":
-        with open(args.input, "rb") as handle:
-            data = handle.read()
+        blocks = _FileBlocks(args.input, args.format)
     else:
-        data = sys.stdin.buffer.read()
-    symbols = _parse_symbols(data, args.format)
-    report = verify(symbols, args.n, args.k, expected_len=args.len)
+        blocks = _decode(iter(partial(sys.stdin.buffer.read, _BLOCK), b""),
+                         args.format)
+    report = verify(_Blocks(blocks), args.n, args.k, expected_len=args.len)
     if args.json:
         print(json.dumps(_report_json(report, args.k)))
     else:
@@ -136,7 +189,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    word = tuple(_parse_symbols(os.fsencode(args.word), None))
+    word = _parse_word(args.word)
     print(rank_lyndon(word, args.k))
     return 0
 

@@ -14,24 +14,34 @@ n and on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
-length matches when a target is given.  Windows are rolling base-k
-integers marked in a table of k^n bytes, which is less than k bytes per
-symbol for any L > k^(n-1); inputs shorter than k^(n-1) use a set of
-window values instead, O(L).  Beyond its input, verify keeps at most the
-table and O(n) state, on the accepting and the rejecting path alike.
+length matches when a target is given.  It reads its input in blocks, in
+one pass: windows are rolling base-k integers, carried across block ends,
+marked in a table of k^n bytes, which is less than k bytes per symbol for
+any L > k^(n-1).  An input that ends before k^(n-1) symbols uses a set of
+window values instead, O(L).  Only the first n - 1 symbols are kept, for
+the windows that wrap around.  A repeated window needs two more passes:
+a list, tuple, bytes or bytearray is read again in place, and any other
+iterable was spooled to a temporary file as it was read.  So verify holds
+the table, one block and O(n) state, never the whole input, on the
+accepting and the rejecting path alike.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import BinaryIO
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
 from .words import Word, format_word, pack
 
 _CHUNK = 8192
+# verify reads an iterable in lists this long: with the growth of the list
+# as it fills, a block then stays small beside even a 64 KiB table
+_PIECE = 1024
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -308,73 +318,163 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
         i = 0
 
 
+class _Blocks:
+    """Symbols that arrive in blocks, each a sequence of ints.  Iterating
+    gives the symbols; ``verify`` reads the blocks as they come.  A
+    re-iterable ``blocks`` is read again for each pass; an iterator is read
+    once, and ``verify`` spools what it reads."""
+
+    def __init__(self, blocks: Iterable[Sequence[int]]) -> None:
+        self.blocks = blocks
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.blocks)
+
+
+class _Spool:
+    """The blocks of an iterator, written to ``file`` as they are read, so
+    that every iteration after the first replays them and then reads on:
+    bytes for k <= 256, unsigned 64-bit array items above that."""
+
+    def __init__(self, blocks: Iterator[Sequence[int]], file: BinaryIO,
+                 k: int) -> None:
+        self._blocks = blocks
+        self._file = file
+        self._code = "B" if k <= 256 else "Q"
+
+    def __iter__(self) -> Iterator[Sequence[int]]:
+        file, code = self._file, self._code
+        file.seek(0)
+        while data := file.read(_CHUNK * array(code).itemsize):
+            yield data if code == "B" else array(code, data)
+        for block in self._blocks:
+            try:
+                file.write(bytes(block) if code == "B" else array(code, block))
+            except (ValueError, OverflowError):
+                pass  # a symbol out of range: the pass reading it stops
+            yield block
+
+
 def verify(seq: Iterable[int], n: int, k: int,
            expected_len: int | None = None) -> VerifyReport:
     """Check that ``seq`` is a valid cut-down sequence body for (n, k).
 
     All len(seq) cyclic length-n windows (including wraparound) must be
     pairwise distinct and every symbol must lie in [0, k).  A list, tuple,
-    bytes or bytearray is read in place; any other iterable is copied into
-    a list first.  Failures are reported, not raised; n < 1 or k < 2 raises
-    ValueError.
+    bytes or bytearray is read in place as one block; any other iterable
+    is read in blocks of 1024 symbols and spooled to a temporary file, which
+    the rejecting path reads again.  Failures are reported, not raised;
+    n < 1 or k < 2 raises ValueError.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    symbols: Sequence[int] = (
-        seq if isinstance(seq, (list, tuple, bytes, bytearray)) else list(seq))
-    length = len(symbols)
-    if length < 1:
-        raise ValueError("empty sequence")
-    if min(symbols) < 0 or max(symbols) >= k:
-        bad = next(idx for idx, c in enumerate(symbols, 1) if not 0 <= c < k)
-        return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
+    if isinstance(seq, _Blocks):
+        blocks = seq.blocks
+    elif isinstance(seq, (list, tuple, bytes, bytearray)):
+        blocks = (seq,)
+    else:
+        symbols = iter(seq)
+        blocks = iter(lambda: list(islice(symbols, _PIECE)), [])
+    if iter(blocks) is not blocks:
+        return _verify_blocks(blocks, n, k, expected_len)
+    if k > 2 ** 64:
+        # beyond a spool item; no table of k^n bytes fits, so the input,
+        # O(L) anyway in the set of its windows, is kept in memory
+        return _verify_blocks(list(blocks), n, k, expected_len)
+    import tempfile  # only a stream needs it, so start-up does not wait
 
+    with tempfile.TemporaryFile() as file:
+        return _verify_blocks(_Spool(blocks, file, k), n, k, expected_len)
+
+
+def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
+                   expected_len: int | None) -> VerifyReport:
+    # verify on a re-iterable of blocks: each iteration is one pass
     size = k ** n
-    if k * length < size:
-        # shorter than any cut-down body: k^n bytes would outweigh the input
-        seen: set[int] | bytearray = set(_window_values(symbols, n, k))
+    # Read until the input reaches k^(n-1) symbols, so that k^n bytes are at
+    # most k per symbol, or ends; a shorter input gets a set of its windows.
+    length = 0
+    rest = iter(blocks)
+    for block in rest:
+        if block and (min(block) < 0 or max(block) >= k):
+            return _out_of_range(block, k, length, rest)
+        length += len(block)
+        if length * k >= size:
+            break
+    if length * k < size:
+        if not length:
+            raise ValueError("empty sequence")
+        seen: set[int] | bytearray = set(_window_values(blocks, n, k))
         distinct = len(seen)
     else:
-        # one pass without branches: mark every window, count the marks
+        # one pass marks every window in the table, block by block; the
+        # blocks read above are in range already
+        checked = length
         seen = bytearray(size)
-        value = next(_window_values(symbols, n, k))
-        seen[value] = 1
-        for c in _incoming(symbols, n):
+        head: list[int] = []  # the first n - 1 symbols, for the wraparound
+        value = length = 0
+        rest = iter(blocks)
+        for block in rest:
+            if length >= checked and block and (
+                    min(block) < 0 or max(block) >= k):
+                return _out_of_range(block, k, length, rest)
+            symbols = iter(block)
+            if len(head) < n - 1:
+                head += islice(symbols, n - 1 - len(head))
+                value = 0
+                for c in head:
+                    value = value * k + c
+            for c in symbols:
+                value = (value * k + c) % size
+                seen[value] = 1
+            length += len(block)
+        for c in head:
             value = (value * k + c) % size
             seen[value] = 1
         distinct = seen.count(1)
 
+    # fewer distinct windows than symbols: two more passes find the first
+    # repeat and then where its window first occurred
     duplicate = None
     if distinct < length:
-        second, value = _first_repeat(_window_values(symbols, n, k), seen)
-        values = _window_values(symbols, n, k)
+        second, value = _first_repeat(_window_values(blocks, n, k), seen)
+        values = _window_values(blocks, n, k)
         first = next(pos for pos, v in enumerate(values, 1) if v == value)
-        window = tuple(symbols[(second - 1 + j) % length] for j in range(n))
+        window = tuple(value // k ** (n - 1 - j) % k for j in range(n))
         duplicate = (window, (first, second))
-
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
 
 
-def _incoming(symbols: Sequence[int], n: int) -> Iterator[int]:
-    # the symbols entering windows 2..L: symbols[n:] and then the n - 1
-    # wrapped ones, read in place; a short input wraps repeatedly
-    length = len(symbols)
-    if length >= n:
-        return chain(islice(symbols, n, None), islice(symbols, n - 1))
-    return (symbols[j % length] for j in range(n, n + length - 1))
+def _out_of_range(block: Sequence[int], k: int, before: int,
+                  rest: Iterator[Sequence[int]]) -> VerifyReport:
+    # the first symbol of block outside [0, k); the rest is only counted
+    bad = next(i for i, c in enumerate(block, before + 1) if not 0 <= c < k)
+    length = before + len(block) + sum(map(len, rest))
+    return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
 
 
-def _window_values(symbols: Sequence[int], n: int, k: int) -> Iterator[int]:
-    # base-k values of the cyclic windows at positions 1, 2, ..., L
+def _window_values(blocks: Iterable[Sequence[int]], n: int,
+                   k: int) -> Iterator[int]:
+    # base-k values of the cyclic windows at positions 1, 2, ..., L; an
+    # input shorter than n - 1 wraps repeatedly
     size = k ** n
+    head: list[int] = []
     value = 0
-    for j in range(n):
-        value = value * k + symbols[j % len(symbols)]
-    yield value
-    for c in _incoming(symbols, n):
-        value = (value * k + c) % size
-        yield value
+    for block in blocks:
+        symbols = iter(block)
+        if len(head) < n - 1:
+            head += islice(symbols, n - 1 - len(head))
+            value = 0
+            for c in head:
+                value = value * k + c
+        for c in symbols:
+            value = (value * k + c) % size
+            yield value
+    for j in range(n - 1):
+        value = (value * k + head[j % len(head)]) % size
+        if len(head) + j >= n - 1:
+            yield value
 
 
 def _first_repeat(values: Iterator[int],

@@ -7,10 +7,11 @@ import sys
 import pytest
 
 from cutdown.cli import main
+from cutdown.engine import SequenceSpec, generate
 from cutdown.ranking import unrank_lyndon
-from cutdown.words import least_rotation
+from cutdown.words import format_word, least_rotation
 
-from refdata import CUT_N6_L46, CUT_N6_L52, DB_N3_K4
+from refdata import CUT_N6_L46, CUT_N6_L52, DB_N3_K4, verify_reference
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -223,6 +224,110 @@ def test_generate_csv_matches_digits(capsys):
     assert (code, code_csv) == (0, 0)
     assert len(digits) == 20001
     assert csv == ",".join(digits.strip()) + "\n"
+
+
+# the CLI reads 64 KiB blocks; a digit string has one symbol per byte
+BLOCK = 1 << 16
+
+
+def reference_json(symbols, n, k, L):
+    report = verify_reference(symbols, n, k, expected_len=L)
+    dup = None
+    if report.first_duplicate is not None:
+        window, positions = report.first_duplicate
+        dup = {"window": format_word(window, k), "positions": list(positions)}
+    return {"ok": report.ok, "length": report.length, "first_duplicate": dup,
+            "out_of_range_symbol": report.out_of_range_symbol}
+
+
+def verify_both_ways(capsys, monkeypatch, tmp_path, data, argv):
+    # the same bytes from standard input (spooled) and from a file (read
+    # again): same exit status, same report
+    path = tmp_path / "seq.txt"
+    path.write_bytes(data)
+    from_file = run_cli(capsys, *argv, str(path))
+    from_stdin = run_cli(capsys, *argv, stdin=data, monkeypatch=monkeypatch)
+    assert from_file == from_stdin
+    code, out, err = from_file
+    assert err == ""
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("fault", ["straddling-repeat", "third-block-symbol",
+                                   "fifth-block-symbol", "wraparound-repeat",
+                                   "none"])
+def test_verify_faults_across_blocks(capsys, monkeypatch, tmp_path, fault):
+    # more than four blocks with one planted fault, or none; the report
+    # equals the dict-based reference's.  The first four blocks reach
+    # k^(n-1) symbols, where the table is chosen, so the fifth is first
+    # read by the marking pass
+    n, L = 19, 300000
+    seq = list(generate(SequenceSpec(n=n, k=2, L=L)))
+    if fault == "straddling-repeat":
+        # a window across the end of block 2 gets its last symbol flipped,
+        # which makes it an earlier window; the windows before it are kept
+        text = "".join(map(str, seq))
+        dst = next(d for d in range(2 * BLOCK - 1, 2 * BLOCK - n, -1)
+                   if 0 <= text.find(text[d:d + n - 1]
+                                     + str(1 - seq[d + n - 1])) < d)
+        seq[dst + n - 1] ^= 1
+    elif fault.endswith("block-symbol"):
+        bad = (2 if fault.startswith("third") else 4) * BLOCK + 100
+        seq[bad] = 7
+    elif fault == "wraparound-repeat":
+        # one symbol fewer: the linear windows are still distinct, but a
+        # window across the new end repeats
+        seq.pop()
+    data = "".join(map(str, seq)).encode() + b"\n"
+    if fault in ("wraparound-repeat", "none"):
+        # the first block holds fewer than the n - 1 wrapped symbols
+        data = b" " * (BLOCK - 5) + data
+    code, report = verify_both_ways(capsys, monkeypatch, tmp_path, data,
+                                    ["verify", "--n", str(n), "--json"])
+    assert report == reference_json(seq, n, 2, None)
+    assert report["length"] == len(seq)
+    if fault == "none":
+        assert code == 0 and report["ok"]
+        return
+    assert code == 1
+    if fault.endswith("block-symbol"):
+        assert report["out_of_range_symbol"] == bad + 1
+        return
+    second = report["first_duplicate"]["positions"][1] - 1  # 0-based
+    if fault == "straddling-repeat":
+        assert second < 2 * BLOCK < second + n
+    else:
+        assert second > len(seq) - n  # no repeat among the linear windows
+
+
+def test_verify_csv_field_across_a_block_end(capsys, monkeypatch, tmp_path):
+    # the last two-digit field that starts in the first block of the csv,
+    # padded to start at its last byte; a block of whitespace comes first,
+    # and the format is found from the block after it
+    n, k, L = 5, 12, 40000
+    seq = list(generate(SequenceSpec(n=n, k=k, L=L)))
+    fields = [str(c) for c in seq]
+    offset, last = 0, None
+    for i, field in enumerate(fields):
+        if offset >= BLOCK:
+            break
+        if len(field) == 2:
+            last = i, offset
+        offset += len(field) + 1
+    i, offset = last
+    fields[i] = " " * (BLOCK - 1 - offset) + fields[i]
+    data = b"\n" * BLOCK + ",".join(fields).encode() + b"\n"
+    assert data[2 * BLOCK - 1:2 * BLOCK + 1].isdigit()
+    argv = ["verify", "--n", str(n), "--k", str(k), "--len", str(L), "--json"]
+    code, report = verify_both_ways(capsys, monkeypatch, tmp_path, data, argv)
+    assert (code, report) == (0, reference_json(seq, n, k, L))
+    # the same field cut in two by a space is no field at all
+    broken = data[:2 * BLOCK] + b" " + data[2 * BLOCK:]
+    path = tmp_path / "broken.csv"
+    path.write_bytes(broken)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected byte 0x20 in the symbols")
 
 
 def test_rank(capsys):

@@ -258,9 +258,11 @@ def test_kary_successor_orbit_is_the_target_cycle(k, n_max):
 @given(st.data())
 def test_successor_mode_from_any_window_stays_on_the_cycle(data):
     # a random window of weight <= m; when off the cycle, its last nonzero
-    # symbol is lowered once, which leaves only the cut small cycles
+    # symbol is lowered once, which leaves only the cut small cycles.  The
+    # cost hardly grows with n (about 2 s for 100 examples), so n reaches 20
+    # for every k
     k = data.draw(st.integers(2, 5), label="k")
-    n = data.draw(st.integers(2, 12), label="n")
+    n = data.draw(st.integers(2, 20), label="n")
     L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
     params = derive_params(n, k, L)
     cuts = cut_set(params.s, n)
@@ -392,7 +394,8 @@ def test_verify_detects_wraparound_duplicates():
 def test_verify_equals_reference_exhaustively():
     # every sequence over {0, 1, 2} of length 1..8, at k = 2 (some symbols
     # out of range) and k = 3, n = 1..4: L < n, L > k^n, wraparound
-    # duplicates, the set and the table paths; k = 3 also as bytes
+    # duplicates, the set and the table paths; k = 3 also as bytes and as
+    # a one-shot iterator
     for length in range(1, 9):
         for seq in itertools.product(range(3), repeat=length):
             for n in range(1, 5):
@@ -400,7 +403,9 @@ def test_verify_equals_reference_exhaustively():
                     want = verify_reference(seq, n, k, expected_len=5)
                     got = verify(seq, n, k, expected_len=5)
                     assert got == want, (seq, n, k)
-                assert verify(bytes(seq), n, 3) == verify_reference(seq, n, 3)
+                want = verify_reference(seq, n, 3)
+                assert verify(bytes(seq), n, 3) == want
+                assert verify(iter(seq), n, 3) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -429,41 +434,58 @@ def test_verify_equals_reference_on_planted_faults(data):
     want = verify_reference(seq, n, k, expected_len=L)
     assert verify(seq, n, k, expected_len=L) == want
     assert verify(bytes(seq), n, k, expected_len=L) == want
+    assert verify(iter(seq), n, k, expected_len=L) == want
     if fault == "none" and length == L:
         assert want.ok
 
 
 def test_verify_short_input_allocates_no_table():
-    # k^n = 2^40 bytes would not fit; a 2-symbol input gets a set instead
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        report = verify([0, 1], 40, 2)
-        seconds = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok and report.length == 2
-    assert peak < 2 ** 16 and seconds < 0.5
+    # k^n = 2^40 bytes would not fit; a 2-symbol input gets a set instead,
+    # also when its length is not known before it ends
+    for symbols in ([0, 1], iter([0, 1])):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            report = verify(symbols, 40, 2)
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.length == 2
+        assert peak < 2 ** 16 and seconds < 0.5
 
 
 def test_verify_memory_is_bounded_by_the_table():
-    # a full n = 16 binary list, accepted and with its last symbol flipped:
-    # the 64 KiB table and O(n) state on both paths, where the
-    # {window: position} dict took about 7 MB (tracemalloc slows the
-    # verifier's int arithmetic too much for a larger n here)
+    # a full n = 16 binary sequence, accepted and with its last symbol
+    # flipped, as a list and streamed from generate: the 64 KiB table and
+    # O(n + block) state on both paths, where the {window: position} dict
+    # took about 7 MB (tracemalloc slows the verifier's int arithmetic too
+    # much for a larger n here)
     n = 16
-    seq = collect(SequenceSpec(n=n, k=2, L=2 ** n))
+    spec = SequenceSpec(n=n, k=2, L=2 ** n)
+    seq = collect(spec)
     bad = seq[:-1] + [1 - seq[-1]]
+
+    def flipped():
+        # generate's output with its last symbol flipped, never held whole
+        symbols = generate(spec)
+        for _ in range(2 ** n - 1):
+            yield next(symbols)
+        yield 1 - next(symbols)
+
+    # a stream a little shorter than k^n gets the table too
+    short = SequenceSpec(n=n, k=2, L=2 ** n - 5)
     peaks, reports = [], []
-    for symbols in (seq, bad):
+    for symbols, L in ((seq, 2 ** n), (bad, 2 ** n), (generate(spec), 2 ** n),
+                       (flipped(), 2 ** n), (generate(short), short.L)):
         tracemalloc.start()
         try:
-            reports.append(verify(symbols, n, 2, expected_len=2 ** n))
+            reports.append(verify(symbols, n, 2, expected_len=L))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert reports[0].ok
+    assert reports[0].ok and reports[2].ok and reports[4].ok
     assert reports[1] == verify_reference(bad, n, 2, expected_len=2 ** n)
+    assert reports[3] == reports[1]
     assert not reports[1].ok and reports[1].first_duplicate is not None
     assert max(peaks) < 2 * 2 ** n, peaks

@@ -51,9 +51,11 @@ def test_no_bare_assert_in_package():
     (2, 12, 100, "counter", ("--format", "csv")),
     (3, 4, 50, "successor", ()),
     # crosses the engine's and the CLI's 8192-symbol block ends
-    (7, 4, 4 ** 7 - 3, "counter", ()), (7, 4, 4 ** 7 - 3, "successor", ())],
+    (7, 4, 4 ** 7 - 3, "counter", ()), (7, 4, 4 ** 7 - 3, "successor", ()),
+    # four 64 KiB blocks of verify's input and a part of a fifth
+    (9, 4, 4 ** 9 - 5, "counter", ())],
     ids=["n6-k2", "n3-k4", "n2-k12-csv", "n3-k4-successor", "n7-k4",
-         "n7-k4-successor"])
+         "n7-k4-successor", "n9-k4"])
 def test_generate_pipes_into_verify(n, k, L, mode, fmt):
     # two python -O processes joined by an OS pipe, as a shell runs them:
     # what stdout writes (bytes for digits, text for csv) is what stdin reads
