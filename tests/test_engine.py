@@ -227,6 +227,11 @@ def test_alphabets_beyond_a_byte(k):
             seq = collect(SequenceSpec(n=n, k=k, L=L, mode=mode))
             assert seq == ref, (k, L, mode)
             assert verify(seq, n, k, expected_len=L).ok, (k, L, mode)
+            assert verify(iter(seq), n, k, expected_len=L).ok, (k, L, mode)
+    # a stream over such an alphabet is spooled as 64-bit items, and a
+    # rejected one is read back from them
+    bad = seq[:-1] + [(seq[-1] + 1) % k]
+    assert verify(iter(bad), n, k) == verify_reference(bad, n, k)
 
 
 # --- k-ary successor mode --------------------------------------------------
@@ -467,17 +472,14 @@ def test_verify_memory_is_bounded_by_the_table():
     bad = seq[:-1] + [1 - seq[-1]]
 
     def flipped():
-        # generate's output with its last symbol flipped, never held whole
-        symbols = generate(spec)
-        for _ in range(2 ** n - 1):
-            yield next(symbols)
-        yield 1 - next(symbols)
+        yield from itertools.islice(seq, 2 ** n - 1)
+        yield 1 - seq[-1]
 
     # a stream a little shorter than k^n gets the table too
-    short = SequenceSpec(n=n, k=2, L=2 ** n - 5)
+    short = collect(SequenceSpec(n=n, k=2, L=2 ** n - 5))
     peaks, reports = [], []
     for symbols, L in ((seq, 2 ** n), (bad, 2 ** n), (generate(spec), 2 ** n),
-                       (flipped(), 2 ** n), (generate(short), short.L)):
+                       (flipped(), 2 ** n), (iter(short), len(short))):
         tracemalloc.start()
         try:
             reports.append(verify(symbols, n, 2, expected_len=L))
