@@ -334,24 +334,30 @@ class _Blocks:
 class _Spool:
     """The blocks of an iterator, written to ``file`` as they are read, so
     that every iteration after the first replays them and then reads on:
-    bytes for k <= 256, unsigned 64-bit array items above that."""
+    bytes for k <= 256, unsigned 64-bit array items above that.  Writing
+    stops at the first block with a symbol outside [0, k), where the pass
+    reading it stops too."""
 
     def __init__(self, blocks: Iterator[Sequence[int]], file: BinaryIO,
                  k: int) -> None:
         self._blocks = blocks
         self._file = file
+        self._k = k
         self._code = "B" if k <= 256 else "Q"
+        self._in_range = True
 
     def __iter__(self) -> Iterator[Sequence[int]]:
-        file, code = self._file, self._code
+        file, code, k = self._file, self._code, self._k
         file.seek(0)
         while data := file.read(_CHUNK * array(code).itemsize):
             yield data if code == "B" else array(code, data)
         for block in self._blocks:
-            try:
-                file.write(bytes(block) if code == "B" else array(code, block))
-            except (ValueError, OverflowError):
-                pass  # a symbol out of range: the pass reading it stops
+            if block and self._in_range:
+                self._in_range = min(block) >= 0 and max(block) < k
+            if self._in_range:
+                # item by item: array() would take a bytes block as raw words
+                file.write(bytes(block) if code == "B"
+                           else array(code, iter(block)))
             yield block
 
 

@@ -330,6 +330,19 @@ def test_verify_csv_field_across_a_block_end(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: unexpected byte 0x20 in the symbols")
 
 
+@pytest.mark.parametrize("n", [1, 3], ids=["table", "set"])
+def test_verify_digits_beyond_a_byte(capsys, monkeypatch, tmp_path, n):
+    # digit strings at k = 300 come as bytes blocks; standard input spools
+    # them as 64-bit items, one per symbol, not as raw machine words
+    for data in (b" 298", b"00100"):
+        symbols = [int(c) for c in data.strip().decode()]
+        code, report = verify_both_ways(
+            capsys, monkeypatch, tmp_path, data,
+            ["verify", "--n", str(n), "--k", "300", "--json"])
+        assert report == reference_json(symbols, n, 300, None)
+        assert code == (0 if report["ok"] else 1)
+
+
 def test_rank(capsys):
     code, out, _ = run_cli(capsys, "rank", "000101")
     assert code == 0

@@ -359,6 +359,11 @@ def test_verify_out_of_range_symbol():
     assert not report.ok
     assert report.out_of_range_symbol == 3
     assert report.first_duplicate is None
+    # a stream stops spooling at symbols no spool item holds
+    for symbols in ([0, 1, 300, 0], [0, 1, -1, 0]):
+        assert verify(iter(symbols), 2, 2) == report
+        assert verify(iter(symbols), 2, 257) == verify_reference(symbols, 2,
+                                                                 257)
 
 
 def test_verify_length_mismatch():
