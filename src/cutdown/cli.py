@@ -15,7 +15,7 @@ k^n-byte window table and a block, never the whole input.
 
 Exit status: 0 on success, 1 when `verify` rejects its input, 2 for
 argument or range errors, including a successor-mode start window that is
-not on the target cycle.
+not on the target cycle, and for an input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -269,11 +269,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,40 +3,19 @@
 All results are exact Python integers (arbitrary precision), so counts are
 valid up to and beyond k^n for any supported (n, k).
 
-The length/weight table is built once per alphabet size by dynamic
-programming over the recurrence
+Words of length n and weight w are counted in closed form, by
+inclusion-exclusion over the symbols that exceed k - 1:
 
-    T(n, w) = sum(T(n-1, w-c) for c in range(min(k-1, w) + 1))
+    count_strings(n, w, k) = sum((-1)^j C(n, j) C(w - jk + n - 1, n - 1)
+                                 for j in 0..min(n, w // k))
 
-and grown lazily as larger lengths are requested.  Rows are never mutated
-after being appended, so concurrent readers always observe consistent data.
+and the words of weight at most w by the same sum over C(w - jk + n, n).
+Nothing is cached, so the module holds no state.
 """
 
 from __future__ import annotations
 
-import threading
-from math import gcd
-
-_tables: dict[int, list[list[int]]] = {}
-_grow_lock = threading.Lock()
-
-
-def _table(k: int, n: int) -> list[list[int]]:
-    rows = _tables.get(k)
-    if rows is not None and len(rows) > n:
-        return rows
-    with _grow_lock:
-        rows = _tables.setdefault(k, [[1]])
-        while len(rows) <= n:
-            length = len(rows)
-            prev = rows[-1]
-            row = []
-            for w in range((k - 1) * length + 1):
-                lo = max(0, w - (k - 1))
-                hi = min(w, len(prev) - 1)
-                row.append(sum(prev[lo:hi + 1]))
-            rows.append(row)
-    return rows
+from math import comb, gcd
 
 
 def count_strings(n: int, w: int, k: int) -> int:
@@ -49,7 +28,8 @@ def count_strings(n: int, w: int, k: int) -> int:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0 or w > (k - 1) * n:
         return 0
-    return _table(k, n)[n][w]
+    return sum((-1) ** j * comb(n, j) * comb(w - j * k + n - 1, n - 1)
+               for j in range(min(n, w // k) + 1))
 
 
 def mobius(i: int) -> int:
@@ -86,7 +66,7 @@ def divisors(n: int) -> list[int]:
 def count_lyndon(n: int, w: int, k: int) -> int:
     """Number of k-ary Lyndon words (aperiodic necklaces) of length n, weight w.
 
-    Moebius inversion over the length/weight table:
+    Moebius inversion over the string counts:
 
         (1/n) * sum(mobius(i) * count_strings(n/i, w/i, k)
                     for i dividing gcd(n, w))
@@ -108,8 +88,8 @@ def count_weight_at_most(w: int, n: int, k: int) -> int:
     """Number of length-n words with weight <= w; 0 when w < 0."""
     if w < 0:
         return 0
-    row = _table(k, n)[n]
-    return sum(row[:min(w, len(row) - 1) + 1])
+    return sum((-1) ** j * comb(n, j) * comb(w - j * k + n, n)
+               for j in range(min(n, w // k) + 1))
 
 
 def count_weight_period(w: int, p: int, n: int, k: int) -> int:

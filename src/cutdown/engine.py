@@ -15,24 +15,24 @@ n and on random long runs.
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
 length matches when a target is given.  It reads its input in blocks, in
-one pass: windows are rolling base-k integers, carried across block ends,
-marked in a table of k^n bytes, which is less than k bytes per symbol for
-any L > k^(n-1).  An input that ends before k^(n-1) symbols uses a set of
-window values instead, O(L).  Only the first n - 1 symbols are kept, for
-the windows that wrap around.  A repeated window needs two more passes:
-a list, tuple, bytes or bytearray is read again in place, and any other
-iterable was spooled to a temporary file as it was read.  So verify holds
-the table, one block and O(n) state, never the whole input, on the
-accepting and the rejecting path alike.
+one pass that range-checks each block: windows are rolling base-k
+integers, carried across block ends, marked in a table of k^n bytes.
+That is at most 64 bytes per symbol, and less than k for every cut-down
+length at k <= 64: an input with fewer than k^n / 64 symbols marks its
+windows in a dict instead, which takes more than 64 bytes an entry.
+Only the first n - 1 symbols are kept, for the windows that wrap around.
+A repeated window needs two more passes: a list, tuple, bytes or
+bytearray is read again in place, and any other iterable was pickled to
+a temporary file as it was read.  So verify holds the marks, one block
+and O(n) state, never the whole input, on the accepting and the
+rejecting path alike.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import BinaryIO
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
@@ -332,32 +332,29 @@ class _Blocks:
 
 
 class _Spool:
-    """The blocks of an iterator, written to ``file`` as they are read, so
-    that every iteration after the first replays them and then reads on:
-    bytes for k <= 256, unsigned 64-bit array items above that.  Writing
-    stops at the first block with a symbol outside [0, k), where the pass
-    reading it stops too."""
+    """The blocks of an iterator, pickled to ``file`` as they are read, so
+    that every iteration after the first replays them and then reads on.
+    A block whose symbols all fit in a byte is written as bytes, any other
+    as it is."""
 
-    def __init__(self, blocks: Iterator[Sequence[int]], file: BinaryIO,
-                 k: int) -> None:
+    def __init__(self, blocks: Iterator[Sequence[int]], file) -> None:
         self._blocks = blocks
         self._file = file
-        self._k = k
-        self._code = "B" if k <= 256 else "Q"
-        self._in_range = True
 
     def __iter__(self) -> Iterator[Sequence[int]]:
-        file, code, k = self._file, self._code, self._k
+        import pickle
+
+        file = self._file
+        end = file.seek(0, 2)
         file.seek(0)
-        while data := file.read(_CHUNK * array(code).itemsize):
-            yield data if code == "B" else array(code, data)
+        while file.tell() < end:
+            yield pickle.load(file)
         for block in self._blocks:
-            if block and self._in_range:
-                self._in_range = min(block) >= 0 and max(block) < k
-            if self._in_range:
-                # item by item: array() would take a bytes block as raw words
-                file.write(bytes(block) if code == "B"
-                           else array(code, iter(block)))
+            try:
+                data: Sequence[int] = bytes(block)
+            except ValueError:  # a symbol outside [0, 256)
+                data = block
+            pickle.dump(data, file)
             yield block
 
 
@@ -368,9 +365,10 @@ def verify(seq: Iterable[int], n: int, k: int,
     All len(seq) cyclic length-n windows (including wraparound) must be
     pairwise distinct and every symbol must lie in [0, k).  A list, tuple,
     bytes or bytearray is read in place as one block; any other iterable
-    is read in blocks of 1024 symbols and spooled to a temporary file, which
-    the rejecting path reads again.  Failures are reported, not raised;
-    n < 1 or k < 2 raises ValueError.
+    is read in blocks of 1024 symbols and pickled to a temporary file,
+    which the rejecting path reads again.  Windows are marked in a table of
+    k^n bytes, or in a dict when the input has fewer than k^n / 64 symbols.
+    Failures are reported, not raised; n < 1 or k < 2 raises ValueError.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
@@ -383,61 +381,52 @@ def verify(seq: Iterable[int], n: int, k: int,
         blocks = iter(lambda: list(islice(symbols, _PIECE)), [])
     if iter(blocks) is not blocks:
         return _verify_blocks(blocks, n, k, expected_len)
-    if k > 2 ** 64:
-        # beyond a spool item; no table of k^n bytes fits, so the input,
-        # O(L) anyway in the set of its windows, is kept in memory
-        return _verify_blocks(list(blocks), n, k, expected_len)
     import tempfile  # only a stream needs it, so start-up does not wait
 
     with tempfile.TemporaryFile() as file:
-        return _verify_blocks(_Spool(blocks, file, k), n, k, expected_len)
+        return _verify_blocks(_Spool(blocks, file), n, k, expected_len)
 
 
 def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
                    expected_len: int | None) -> VerifyReport:
     # verify on a re-iterable of blocks: each iteration is one pass
     size = k ** n
-    # Read until the input reaches k^(n-1) symbols, so that k^n bytes are at
-    # most k per symbol, or ends; a shorter input gets a set of its windows.
+    # A dict entry takes 64 bytes or more, so count up to k^n / 64 symbols:
+    # an input that ends before then marks its windows in a dict, any
+    # other in the table of k^n bytes, which is never the larger one.
     length = 0
+    for block in blocks:
+        length += len(block)
+        if length * 64 >= size:
+            break
+    if not length:
+        raise ValueError("empty sequence")
+    seen: dict[int, int] | bytearray = (
+        bytearray(size) if length * 64 >= size else {})
+    # one pass range-checks every block and marks its windows
+    head: list[int] = []  # the first n - 1 symbols, for the wraparound
+    value = length = 0
     rest = iter(blocks)
     for block in rest:
         if block and (min(block) < 0 or max(block) >= k):
             return _out_of_range(block, k, length, rest)
-        length += len(block)
-        if length * k >= size:
-            break
-    if length * k < size:
-        if not length:
-            raise ValueError("empty sequence")
-        seen: set[int] | bytearray = set(_window_values(blocks, n, k))
-        distinct = len(seen)
-    else:
-        # one pass marks every window in the table, block by block; the
-        # blocks read above are in range already
-        checked = length
-        seen = bytearray(size)
-        head: list[int] = []  # the first n - 1 symbols, for the wraparound
-        value = length = 0
-        rest = iter(blocks)
-        for block in rest:
-            if length >= checked and block and (
-                    min(block) < 0 or max(block) >= k):
-                return _out_of_range(block, k, length, rest)
-            symbols = iter(block)
-            if len(head) < n - 1:
-                head += islice(symbols, n - 1 - len(head))
-                value = 0
-                for c in head:
-                    value = value * k + c
-            for c in symbols:
-                value = (value * k + c) % size
-                seen[value] = 1
-            length += len(block)
-        for c in head:
+        symbols = iter(block)
+        if len(head) < n - 1:
+            head += islice(symbols, n - 1 - len(head))
+            value = 0
+            for c in head:
+                value = value * k + c
+        for c in symbols:
             value = (value * k + c) % size
             seen[value] = 1
-        distinct = seen.count(1)
+        length += len(block)
+    # the windows that wrap around; an input shorter than n - 1 wraps
+    # repeatedly, as in _window_values
+    for j in range(n - 1):
+        value = (value * k + head[j % len(head)]) % size
+        if len(head) + j >= n - 1:
+            seen[value] = 1
+    distinct = len(seen) if isinstance(seen, dict) else seen.count(1)
 
     # fewer distinct windows than symbols: two more passes find the first
     # repeat and then where its window first occurred
@@ -484,19 +473,12 @@ def _window_values(blocks: Iterable[Sequence[int]], n: int,
 
 
 def _first_repeat(values: Iterator[int],
-                  seen: set[int] | bytearray) -> tuple[int, int]:
-    # 1-based position and value of the first window seen before; the marks
-    # of the counting pass are set aside (the set is emptied, the table's
-    # 1s are passed over by marking 2s), so no memory is added
-    if isinstance(seen, set):
-        seen.clear()
-        for pos, value in enumerate(values, 1):
-            if value in seen:
-                return pos, value
-            seen.add(value)
-    else:
-        for pos, value in enumerate(values, 1):
-            if seen[value] == 2:
-                return pos, value
-            seen[value] = 2
-    raise RuntimeError("the counting pass saw a repeated window; none found")
+                  seen: dict[int, int] | bytearray) -> tuple[int, int]:
+    # 1-based position and value of the first window seen before.  The
+    # marking pass set every window to 1; marking 2s passes over those, so
+    # no memory is added, in the table and the dict alike.
+    for pos, value in enumerate(values, 1):
+        if seen[value] == 2:
+            return pos, value
+        seen[value] = 2
+    raise RuntimeError("the marking pass saw a repeated window; none found")

@@ -131,6 +131,18 @@ def test_verify_bad_order_exit_2(capsys, monkeypatch):
     assert "n >= 1" in err
 
 
+@pytest.mark.parametrize("name", ["missing", "directory"])
+def test_verify_unreadable_input_exit_2(capsys, tmp_path, name):
+    # an input that cannot be opened is an argument error, not a rejection
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    code, out, err = run_cli(capsys, "verify", "--n", "3", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_verify_reads_file(capsys, tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(CUT_N6_L46 + "\n")
@@ -139,7 +151,7 @@ def test_verify_reads_file(capsys, tmp_path):
     assert code == 0
 
 
-def test_verify_csv_input(capsys, monkeypatch):
+def test_verify_csv_input(capsys, monkeypatch, tmp_path):
     code, _, _ = run_cli(capsys, "verify", "--n", "2", "--k", "4",
                          stdin="0,3,1,2", monkeypatch=monkeypatch)
     assert code == 0
@@ -147,6 +159,12 @@ def test_verify_csv_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n", "1", "--k", "12",
                            stdin="0, 1 ,2\n", monkeypatch=monkeypatch)
     assert code == 0 and out.startswith("ok: 3 symbols")
+    # one symbol of an alphabet beyond 2^64 needs no k-byte table
+    k = 2 ** 64 + 3
+    code, report = verify_both_ways(
+        capsys, monkeypatch, tmp_path, b"5",
+        ["verify", "--n", "1", "--k", str(k), "--format", "csv", "--json"])
+    assert (code, report) == (0, reference_json([5], 1, k, None))
 
 
 def test_generate_pipe_verify(capsys, monkeypatch):
@@ -333,8 +351,8 @@ def test_verify_csv_field_across_a_block_end(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("n", [1, 3], ids=["table", "set"])
 def test_verify_digits_beyond_a_byte(capsys, monkeypatch, tmp_path, n):
     # digit strings at k = 300 come as bytes blocks; standard input spools
-    # them as 64-bit items, one per symbol, not as raw machine words
-    for data in (b" 298", b"00100"):
+    # them as bytes, one per symbol.  Ten symbols at n = 1 reach the table.
+    for data in (b" 298", b"00100", b"0123456789"):
         symbols = [int(c) for c in data.strip().decode()]
         code, report = verify_both_ways(
             capsys, monkeypatch, tmp_path, data,

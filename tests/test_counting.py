@@ -130,3 +130,19 @@ def test_monotonicity():
         for w in range(n + 1):
             cs = [count_weight_period_at_most(w, p, n, 2) for p in range(n + 1)]
             assert cs == sorted(cs)
+
+
+def test_closed_forms_equal_the_row_recurrence():
+    # the length/weight table T(n, w) = sum(T(n - 1, w - c), 0 <= c < k),
+    # built row by row, against both closed forms up to n = 64
+    for k, n_max in ((2, 64), (3, 64), (5, 64), (300, 12)):
+        row = [1]
+        for n in range(1, n_max + 1):
+            row = [sum(row[max(0, w - k + 1):w + 1])
+                   for w in range((k - 1) * n + 1)]
+            total = 0
+            for w in range(-1, (k - 1) * n + 2):
+                assert count_strings(n, w, k) == (
+                    row[w] if 0 <= w < len(row) else 0), (k, n, w)
+                total += row[w] if 0 <= w < len(row) else 0
+                assert count_weight_at_most(w, n, k) == total, (k, n, w)

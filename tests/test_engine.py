@@ -228,8 +228,8 @@ def test_alphabets_beyond_a_byte(k):
             assert seq == ref, (k, L, mode)
             assert verify(seq, n, k, expected_len=L).ok, (k, L, mode)
             assert verify(iter(seq), n, k, expected_len=L).ok, (k, L, mode)
-    # a stream over such an alphabet is spooled as 64-bit items, and a
-    # rejected one is read back from them
+    # a stream over such an alphabet is spooled as lists of its symbols,
+    # and a rejected one is read back from them
     bad = seq[:-1] + [(seq[-1] + 1) % k]
     assert verify(iter(bad), n, k) == verify_reference(bad, n, k)
 
@@ -359,11 +359,16 @@ def test_verify_out_of_range_symbol():
     assert not report.ok
     assert report.out_of_range_symbol == 3
     assert report.first_duplicate is None
-    # a stream stops spooling at symbols no spool item holds
+    # symbols outside a byte, out of range or not, from a stream: the
+    # repeated window of the last one sends verify back to its spool
     for symbols in ([0, 1, 300, 0], [0, 1, -1, 0]):
         assert verify(iter(symbols), 2, 2) == report
         assert verify(iter(symbols), 2, 257) == verify_reference(symbols, 2,
                                                                  257)
+    symbols = [0, 2 ** 70, 1, 2 ** 70]
+    report = verify(iter(symbols), 1, 2 ** 71)
+    assert report == verify_reference(symbols, 1, 2 ** 71)
+    assert report.first_duplicate == ((2 ** 70,), (2, 4))
 
 
 def test_verify_length_mismatch():
@@ -403,19 +408,23 @@ def test_verify_detects_wraparound_duplicates():
 
 def test_verify_equals_reference_exhaustively():
     # every sequence over {0, 1, 2} of length 1..8, at k = 2 (some symbols
-    # out of range) and k = 3, n = 1..4: L < n, L > k^n, wraparound
-    # duplicates, the set and the table paths; k = 3 also as bytes and as
+    # out of range), k = 3 and k = 2^64 + 3, n = 1..4: L < n, L > k^n,
+    # wraparound duplicates; the small alphabets reach the table, the
+    # large one the dict.  k = 3 also as bytes, and k = 3 and 2^64 + 3 as
     # a one-shot iterator
+    big = 2 ** 64 + 3
     for length in range(1, 9):
         for seq in itertools.product(range(3), repeat=length):
             for n in range(1, 5):
-                for k in (2, 3):
+                for k in (2, 3, big):
                     want = verify_reference(seq, n, k, expected_len=5)
                     got = verify(seq, n, k, expected_len=5)
                     assert got == want, (seq, n, k)
                 want = verify_reference(seq, n, 3)
                 assert verify(bytes(seq), n, 3) == want
                 assert verify(iter(seq), n, 3) == want
+                want = verify_reference(seq, n, big)
+                assert verify(iter(seq), n, big) == want, (seq, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,18 +459,21 @@ def test_verify_equals_reference_on_planted_faults(data):
 
 
 def test_verify_short_input_allocates_no_table():
-    # k^n = 2^40 bytes would not fit; a 2-symbol input gets a set instead,
-    # also when its length is not known before it ends
-    for symbols in ([0, 1], iter([0, 1])):
+    # k^n = 2^40 bytes would not fit; a 2-symbol input gets a dict instead,
+    # also when its length is not known before it ends.  At n = 1 the
+    # table would take k bytes, more than a dict of one or two windows.
+    for symbols, n, k, length in (([0, 1], 40, 2, 2), (iter([0, 1]), 40, 2, 2),
+                                  ([0], 1, 2 ** 64 + 3, 1),
+                                  (iter([5, 7]), 1, 10 ** 12, 2)):
         tracemalloc.start()
         try:
             t0 = time.perf_counter()
-            report = verify(symbols, 40, 2)
+            report = verify(symbols, n, k)
             seconds = time.perf_counter() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.ok and report.length == 2
+        assert report.ok and report.length == length
         assert peak < 2 ** 16 and seconds < 0.5
 
 
