@@ -86,6 +86,8 @@ def count_lyndon(n: int, w: int, k: int) -> int:
 
 def count_weight_at_most(w: int, n: int, k: int) -> int:
     """Number of length-n words with weight <= w; 0 when w < 0."""
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
     if w < 0:
         return 0
     return sum((-1) ** j * comb(n, j) * comb(w - j * k + n, n)

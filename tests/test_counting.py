@@ -146,3 +146,9 @@ def test_closed_forms_equal_the_row_recurrence():
                     row[w] if 0 <= w < len(row) else 0), (k, n, w)
                 total += row[w] if 0 <= w < len(row) else 0
                 assert count_weight_at_most(w, n, k) == total, (k, n, w)
+    # both validate their arguments alike
+    for n, k in ((0, 2), (3, 1), (3, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+            count_strings(n, 2, k)
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+            count_weight_at_most(2, n, k)

@@ -409,7 +409,7 @@ def test_verify_detects_wraparound_duplicates():
 def test_verify_equals_reference_exhaustively():
     # every sequence over {0, 1, 2} of length 1..8, at k = 2 (some symbols
     # out of range), k = 3 and k = 2^64 + 3, n = 1..4: L < n, L > k^n,
-    # wraparound duplicates; the small alphabets reach the table, the
+    # wraparound duplicates; the small alphabets mostly reach the table, the
     # large one the dict.  k = 3 also as bytes, and k = 3 and 2^64 + 3 as
     # a one-shot iterator
     big = 2 ** 64 + 3
@@ -492,18 +492,23 @@ def test_verify_memory_is_bounded_by_the_table():
         yield from itertools.islice(seq, 2 ** n - 1)
         yield 1 - seq[-1]
 
-    # a stream a little shorter than k^n gets the table too
+    # a stream a little shorter than k^n gets the table too, and so does
+    # one at k = 257, n = 2 that decides only in its second block
     short = collect(SequenceSpec(n=n, k=2, L=2 ** n - 5))
+    wide = collect(SequenceSpec(n=2, k=257, L=257 ** 2))
     peaks, reports = [], []
-    for symbols, L in ((seq, 2 ** n), (bad, 2 ** n), (generate(spec), 2 ** n),
-                       (flipped(), 2 ** n), (iter(short), len(short))):
+    for symbols, order, k, L in (
+            (seq, n, 2, 2 ** n), (bad, n, 2, 2 ** n),
+            (generate(spec), n, 2, 2 ** n), (flipped(), n, 2, 2 ** n),
+            (iter(short), n, 2, len(short)), (iter(wide), 2, 257, len(wide))):
         tracemalloc.start()
         try:
-            reports.append(verify(symbols, n, 2, expected_len=L))
+            reports.append(verify(symbols, order, k, expected_len=L))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert reports[0].ok and reports[2].ok and reports[4].ok
+    assert reports[5].ok
     assert reports[1] == verify_reference(bad, n, 2, expected_len=2 ** n)
     assert reports[3] == reports[1]
     assert not reports[1].ok and reports[1].first_duplicate is not None
