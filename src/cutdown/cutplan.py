@@ -17,6 +17,7 @@ the small cycle [0..01] of a chosen length out of the main cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .counting import count_weight_at_most, count_weight_period_at_most
@@ -62,9 +63,10 @@ def derive_params(n: int, k: int, L: int) -> CutParams:
             f"L={L} out of range: need k^(n-1) < L <= k^n, "
             f"i.e. {lo} < L <= {hi} for n={n}, k={k}")
 
-    m = 0
-    while count_weight_at_most(m, n, k) < L:
-        m += 1
+    # the least m with A(m) >= L, by bisection: A grows with m, and
+    # A((k-1)n) = k^n >= L
+    m = bisect_left(range((k - 1) * n + 1), L,
+                    key=lambda w: count_weight_at_most(w, n, k))
     below = count_weight_at_most(m - 1, n, k)
 
     h = 1

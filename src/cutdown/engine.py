@@ -1,16 +1,18 @@
 """Drive the cut-down rules to stream a sequence; verify candidates.
 
-``generate`` yields symbols one at a time and keeps only O(n) state, so
-arbitrarily long sequences stream without being materialized.  A mode
+``generate`` returns a lazy iterator of symbols and keeps only O(n) state,
+so arbitrarily long sequences stream without being materialized.  A mode
 picks only the join decision.  Two loops implement ``successor.kary_step``,
 both modes alike, and copy the runs of plain rotations between the steps
 where a window's tail can be a prenecklace: binary sequences run on packed
 integers (a machine word holds the window for n <= 63, a Python big int
 beyond), larger alphabets on a list holding the current block.  The k-ary
-loop runs the ``pcr3_alt`` scan itself and hands ``kary_step`` only the
-rare steps that reach the weight cap or a marker.  The test suite checks
-both loops against the tuple rule by exhaustive output comparison at small
-n and on random long runs.
+loop carries the positions of the window's least symbol from step to
+step, decides ``pcr3_alt`` with list slice compares (calling it only when
+that symbol is just the dropped one), and hands ``kary_step`` only the
+rare steps that reach the weight cap or a marker.  Both loops yield
+blocks, which ``generate`` chains.  The tests check both loops against
+the tuple rule exhaustively at small n and on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -21,11 +23,11 @@ That is at most 64 bytes per symbol, and less than k for every cut-down
 length at k <= 64: an input with fewer than k^n / 64 symbols marks its
 windows in a dict instead, which takes more than 64 bytes an entry.
 Only the first n - 1 symbols are kept, for the windows that wrap around.
-A repeated window needs two more passes: a list, tuple, bytes or
-bytearray is read again in place, and any other iterable was pickled to
-a temporary file as it was read.  So verify holds the marks, one block
-and O(n) state, never the whole input, on the accepting and the
-rejecting path alike.
+A repeated window needs two more passes: a sequence (a list, range,
+bytes, array.array and the like) is read again in place, and any other
+iterable was pickled to a temporary file as it was read.  So verify holds the marks,
+one block and O(n) state, never the whole input, on the accepting and
+the rejecting path alike.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
         raise ValueError(
             f"start window {format_word(spec.start, spec.k)} is not on the "
             f"target cycle for n={spec.n}, L={spec.L}")
-    if spec.k == 2:
-        return _binary_symbols(params, cuts, pack(start), joins)
-    return _list_symbols(params, cuts, start, joins)
+    blocks = (_binary_symbols(params, cuts, pack(start), joins) if spec.k == 2
+              else _list_symbols(params, cuts, start, joins))
+    return chain.from_iterable(blocks)
 
 
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
-                    joins: successor.Join) -> Iterator[int]:
+                    joins: successor.Join) -> Iterator[bytes]:
     # successor.kary_step at k = 2 on packed ints, oldest symbol in the MSB.
     # When the probe word[1:] + (1,) is not a necklace (the common case) the
     # next symbol repeats the first one and no guard can fire.  A necklace
@@ -210,7 +212,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             else:
                 cmask = (mask if alpha in marked
                          else _tail_starts(mask ^ alpha or mask, n))
-        yield from buf.translate(_DIGITS)
+        yield buf.translate(_DIGITS)
         buf.clear()
 
 
@@ -242,36 +244,40 @@ def _tail_starts(least: int, n: int) -> int:
 
 
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
-                  joins: successor.Join) -> Iterator[int]:
+                  joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
     # the window at step i is seq[i:i + n].  As in _binary_symbols, cmask
     # (MSB = position 0) marks where _tail_starts says a tail can be a
-    # prenecklace, here of the window's least symbol, and the plain
-    # rotations between marks are copied as slices.  A marked step runs the
-    # pcr3_alt scan inline.  Its symbol stands when it is the dropped one,
-    # or when it keeps the weight below m and lands on no marker; any other
-    # step, and every step while the window is a rotation of a marker
-    # (hot), goes to successor.kary_step.  That is looked up on the module
-    # at every call, so a wrapper installed there sees each such step.
+    # prenecklace, here of the window's least symbol v, and the plain
+    # rotations between marks are copied as slices.  least, the positions
+    # of v, rotates with cmask; a step that changes a symbol updates it,
+    # rescanning only when the last v leaves.  A marked step runs pcr3_alt:
+    # the tail win[1:] is a prenecklace iff it starts with v and each later
+    # v starts a suffix no smaller than the tail's prefix of its length;
+    # the first equal one gives the period.  When v is only win[0] the step
+    # calls successor.pcr3_alt.  The symbol stands when it is the dropped
+    # one, or keeps the weight below m and lands on no marker; other steps,
+    # and all while the window is a rotation of a marker (hot), go to
+    # successor.kary_step.  Both are looked up on the module at every call,
+    # so a wrapper installed there sees each call.
     n, k, L, m = params.n, params.k, params.L, params.m
     full = (1 << n) - 1
     top = n - 1
     low = full >> 1
     markers = [list(w) for w in cuts.markers]
     marked = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+    marker_weights = {sum(w) for w in cuts.markers}
+    memo: dict[int, int] = {}  # _tail_starts by least: all masks to n = 12
 
-    def candidates(window: list[int]) -> tuple[int, bool]:
-        if tuple(window) in marked:
-            return full, True
+    def scan(window: list[int]) -> tuple[int, int]:
         v = min(window)
-        least = 0
-        for c in window:
-            least += least + (c == v)
-        return _tail_starts(least, n), False
+        return v, sum((c == v) << j for j, c in enumerate(reversed(window)))
 
     seq = list(start)
     w = sum(start)
-    cmask, hot = candidates(seq)
+    v, least = scan(seq)
+    hot = tuple(seq) in marked
+    cmask = full if hot else _tail_starts(least, n)
     i = 0
     remaining = L
     while remaining:
@@ -284,36 +290,58 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 seq += seq[i:i + q]
                 i += q
                 cmask = ((cmask << q) & full) | (cmask >> (n - q))
+                least = ((least << q) & full) | (least >> (n - q))
                 block -= q
                 if not block:
                     break
             block -= 1
             win = seq[i:i + n]
             a1 = win[0]
-            # pcr3_alt on win: one scan of the tail win[1:]
-            p = 1
-            for j in range(2, n):
-                b, d = win[j - p], win[j]
-                if b > d:
-                    x = a1
-                    break
-                if b < d:
-                    p = j
-            else:
-                b = win[-p]
-                c = b if b and n % p == 0 else b + 1
-                x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
+            x = a1
+            if not least & low:
+                x = successor.pcr3_alt(win, k)
+            elif win[1] == v:
+                p = top  # the period of the tail, or 0 if no prenecklace
+                later = least & (low >> 1)
+                while later:
+                    b = later.bit_length()  # v at position n - b
+                    later ^= 1 << (b - 1)
+                    suffix, prefix = win[n - b:], win[1:b + 1]
+                    if suffix <= prefix:
+                        p = top - b if suffix == prefix else 0
+                        break
+                if p:
+                    b = win[n - p]
+                    c = b if b and n % p == 0 else b + 1
+                    x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
             if hot or x != a1 and (
                     w - a1 + x >= m or win[1:] + [x] in markers):
                 x = successor.kary_step(tuple(win), params, cuts, joins)
             seq.append(x)
             i += 1
+            least = ((least << 1) & full) | (least >> top)
             if x == a1:
                 cmask = ((cmask << 1) & full) | (cmask >> top)
+                continue
+            w += x - a1
+            if x < v:
+                v, least = x, 1
+            elif x == v:
+                least |= 1
             else:
-                w += x - a1
-                cmask, hot = candidates(seq[i:])
-        yield from seq[:i]
+                least &= ~1
+                if not least:
+                    v, least = scan(seq[i:])
+            hot = w in marker_weights and tuple(seq[i:]) in marked
+            if hot:
+                cmask = full
+            elif least in memo:
+                cmask = memo[least]
+            else:
+                cmask = _tail_starts(least, n)
+                if len(memo) < 4096:
+                    memo[least] = cmask
+        yield seq[:i]
         del seq[:i]
         i = 0
 
@@ -363,18 +391,19 @@ def verify(seq: Iterable[int], n: int, k: int,
     """Check that ``seq`` is a valid cut-down sequence body for (n, k).
 
     All len(seq) cyclic length-n windows (including wraparound) must be
-    pairwise distinct and every symbol must lie in [0, k).  A list, tuple,
-    bytes or bytearray is read in place as one block; any other iterable
-    is read in blocks of 1024 symbols and pickled to a temporary file,
-    which the rejecting path reads again.  Windows are marked in a table of
-    k^n bytes, or in a dict when the input has fewer than k^n / 64 symbols.
+    pairwise distinct and every symbol must lie in [0, k).  A sequence
+    (a list, tuple, range, bytes, array.array and the like) is read in
+    place as one block; any other iterable is read in blocks of 1024
+    symbols and pickled to a temporary file, which the rejecting path
+    reads again.  Windows are marked in a table of k^n bytes, or in a dict
+    when the input has fewer than k^n / 64 symbols.
     Failures are reported, not raised; n < 1 or k < 2 raises ValueError.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if isinstance(seq, _Blocks):
         blocks = seq.blocks
-    elif isinstance(seq, (list, tuple, bytes, bytearray)):
+    elif isinstance(seq, Sequence):
         blocks = (seq,)
     else:
         symbols = iter(seq)

@@ -1,5 +1,7 @@
 """Cut parameters, marker words, and cut sets."""
 
+import time
+
 import pytest
 
 from cutdown.counting import count_weight_at_most, count_weight_period_at_most
@@ -46,6 +48,26 @@ def test_derive_params_invariants_binary(n):
         assert a_prev + c_prev + (p.t - 1) * p.h < L
         assert p.s == a_prev + c_prev + p.t * p.h - L
         assert 0 <= p.s < p.h <= n
+
+
+def test_derive_params_m_equals_the_linear_search():
+    # m is found by a binary search on A(m), words of weight <= m; it is
+    # the least m with A(m) >= L, as a step-by-step search finds it
+    for n, k in [(2, 2), (7, 2), (3, 3), (5, 4), (2, 10), (4, 6), (2, 37)]:
+        for L in range(k ** (n - 1) + 1, k ** n + 1):
+            m = 0
+            while count_weight_at_most(m, n, k) < L:
+                m += 1
+            assert derive_params(n, k, L).m == m, (n, k, L)
+
+
+def test_derive_params_is_fast_for_a_huge_alphabet():
+    # the step-by-step search made 2 * 10^5 counts, 0.24 s on a 2-vCPU VM
+    t0 = time.perf_counter()
+    params = derive_params(2, 10 ** 5, 10 ** 10 - 5)
+    seconds = time.perf_counter() - t0
+    assert (params.m, params.h, params.t, params.s) == (199996, 1, 1, 0)
+    assert seconds < 0.05, seconds
 
 
 @pytest.mark.parametrize("i, n, expected", [

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import tempfile
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,10 +121,14 @@ def test_spec_validation():
 
 
 def test_generate_is_lazy():
-    gen = generate(SequenceSpec(n=20, k=2, L=2 ** 20))
-    head = list(itertools.islice(gen, 25))
-    assert head[:20] == [0] * 19 + [1]
-    assert len(head) == 25
+    # both loops hand out blocks, chained into one plain iterator
+    for spec, first in ((SequenceSpec(n=20, k=2, L=2 ** 20), 1),
+                        (SequenceSpec(n=10, k=4, L=4 ** 10 - 5000), 3)):
+        gen = generate(spec)
+        assert iter(gen) is gen
+        head = list(itertools.islice(gen, 25))
+        assert head[:spec.n] == [0] * (spec.n - 1) + [first]
+        assert len(head) == 25
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -232,6 +238,36 @@ def test_alphabets_beyond_a_byte(k):
     # and a rejected one is read back from them
     bad = seq[:-1] + [(seq[-1] + 1) % k]
     assert verify(iter(bad), n, k) == verify_reference(bad, n, k)
+
+
+@pytest.mark.parametrize("k, n", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
+def test_list_loop_class_changes_equal_the_tuple_rule(k, n):
+    # successor runs from every window of the cycle whose least symbol is
+    # unique.  At a class change the list loop updates the positions of the
+    # least symbol: they empty when it leaves the window, and shrink to the
+    # last position when a smaller one enters.  Both kinds occur in the
+    # compared prefixes, which follow iterated kary_step
+    kinds = set()
+    for L in (k ** n, k ** n - k ** (n - 1) // 2 - 1):
+        params = derive_params(n, k, L)
+        cuts = cut_set(params.s, n)
+        joins = threshold_join(params)
+        for word in itertools.product(range(k), repeat=n):
+            if (word.count(min(word)) > 1
+                    or not on_target_cycle(word, params, cuts)):
+                continue
+            ref, _ = iterate(word, lambda w: kary_step(w, params, cuts, joins),
+                             4 * n)
+            spec = SequenceSpec(n=n, k=k, L=L, mode="successor", start=word)
+            assert list(itertools.islice(generate(spec), 4 * n)) == ref, (
+                k, n, L, word)
+            for j in range(3 * n):
+                win, x = ref[j:j + n], ref[j + n]
+                if x < min(win):
+                    kinds.add("enters")
+                elif x > win[0] == min(win) and win.count(win[0]) == 1:
+                    kinds.add("leaves")
+    assert kinds == {"enters", "leaves"}, kinds
 
 
 # --- k-ary successor mode --------------------------------------------------
@@ -456,6 +492,25 @@ def test_verify_equals_reference_on_planted_faults(data):
     assert verify(iter(seq), n, k, expected_len=L) == want
     if fault == "none" and length == L:
         assert want.ok
+
+
+def test_verify_reads_arrays_and_ranges_in_place(monkeypatch):
+    # neither is spooled, on the accepting or the rejecting path: a
+    # temporary file cannot be made here, which only a stream notices
+    def no_file(*args, **kwargs):
+        raise OSError("no temporary file")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    seq = collect(SequenceSpec(n=6, k=2, L=46))
+    bad = seq[:-1] + [1 - seq[-1]]
+    assert verify(array("B", seq), 6, 2, expected_len=46).ok
+    assert verify(array("B", bad), 6, 2) == verify_reference(bad, 6, 2)
+    assert not verify(array("B", bad), 6, 2).ok
+    assert verify(range(7), 1, 7, expected_len=7).ok
+    assert verify(range(0, 9, 3), 2, 9).ok
+    assert verify(range(4), 1, 3) == verify_reference(range(4), 1, 3)
+    with pytest.raises(OSError, match="no temporary file"):
+        verify(iter(seq), 6, 2)
 
 
 def test_verify_short_input_allocates_no_table():
