@@ -52,9 +52,12 @@ class CutSet:
 def derive_params(n: int, k: int, L: int) -> CutParams:
     """Compute the unique (m, h, t, s) for a length-L cut-down sequence.
 
-    Raises ValueError when L is outside the supported interval
-    (k^(n-1), k^n]; shorter targets should reduce the order n instead.
+    Raises ValueError when n, k or L is not an int, or when L is outside
+    the supported interval (k^(n-1), k^n]; shorter targets should reduce
+    the order n instead.
     """
+    if not all(isinstance(x, int) for x in (n, k, L)):
+        raise ValueError(f"n, k and L must be ints, not {n!r}, {k!r}, {L!r}")
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
     lo, hi = k ** (n - 1), k ** n

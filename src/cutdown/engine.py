@@ -72,8 +72,10 @@ class SequenceSpec:
                 raise ValueError("start window applies to successor mode only")
             if len(self.start) != self.n:
                 raise ValueError("start window must have length n")
-            if not all(0 <= c < self.k for c in self.start):
-                raise ValueError("start window has out-of-range symbols")
+            if not all(isinstance(c, int) and 0 <= c < self.k
+                       for c in self.start):
+                raise ValueError(f"start window symbols must be ints in "
+                                 f"[0, {self.k})")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,9 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 
     Range errors from parameter derivation propagate unchanged; a
     successor-mode start window off the target cycle raises ValueError.
+    Set-up runs before this returns and includes, in successor mode,
+    unranking tau (see ``successor.threshold_join``), so no symbol waits
+    for it.
     """
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
@@ -347,16 +352,13 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
 
 
 class _Blocks:
-    """Symbols that arrive in blocks, each a sequence of ints.  Iterating
-    gives the symbols; ``verify`` reads the blocks as they come.  A
-    re-iterable ``blocks`` is read again for each pass; an iterator is read
-    once, and ``verify`` spools what it reads."""
+    """Symbols that arrive in blocks, each a sequence of ints, for
+    ``verify`` to read as they come.  A re-iterable ``blocks`` is read
+    again for each pass; an iterator is read once, and ``verify`` spools
+    what it reads."""
 
     def __init__(self, blocks: Iterable[Sequence[int]]) -> None:
         self.blocks = blocks
-
-    def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(self.blocks)
 
 
 class _Spool:
@@ -382,6 +384,8 @@ class _Spool:
                 data: Sequence[int] = bytes(block)
             except ValueError:  # a symbol outside [0, 256)
                 data = block
+            except TypeError:
+                raise _not_ints() from None
             pickle.dump(data, file)
             yield block
 
@@ -397,10 +401,11 @@ def verify(seq: Iterable[int], n: int, k: int,
     symbols and pickled to a temporary file, which the rejecting path
     reads again.  Windows are marked in a table of k^n bytes, or in a dict
     when the input has fewer than k^n / 64 symbols.
-    Failures are reported, not raised; n < 1 or k < 2 raises ValueError.
+    Failures are reported, not raised; n or k not an int, n < 1, k < 2,
+    an empty input or a symbol that is not an int raises ValueError.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 2:
+        raise ValueError("need ints n >= 1 and k >= 2")
     if isinstance(seq, _Blocks):
         blocks = seq.blocks
     elif isinstance(seq, Sequence):
@@ -432,22 +437,30 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         raise ValueError("empty sequence")
     seen: dict[int, int] | bytearray = (
         bytearray(size) if length * 64 >= size else {})
-    # one pass range-checks every block and marks its windows
+    # one pass range-checks every block and marks its windows.  A symbol
+    # that is not an int raises TypeError in the range check or the table,
+    # or leaves value a non-int (a float, say) for the rest of its block,
+    # which the dict would take, so value is checked once a block.
     head: list[int] = []  # the first n - 1 symbols, for the wraparound
     value = length = 0
     rest = iter(blocks)
     for block in rest:
-        if block and (min(block) < 0 or max(block) >= k):
-            return _out_of_range(block, k, length, rest)
-        symbols = iter(block)
-        if len(head) < n - 1:
-            head += islice(symbols, n - 1 - len(head))
-            value = 0
-            for c in head:
-                value = value * k + c
-        for c in symbols:
-            value = (value * k + c) % size
-            seen[value] = 1
+        try:
+            if block and (min(block) < 0 or max(block) >= k):
+                return _out_of_range(block, k, length, rest)
+            symbols = iter(block)
+            if len(head) < n - 1:
+                head += islice(symbols, n - 1 - len(head))
+                value = 0
+                for c in head:
+                    value = value * k + c
+            for c in symbols:
+                value = (value * k + c) % size
+                seen[value] = 1
+        except TypeError:
+            raise _not_ints() from None
+        if not isinstance(value, int):
+            raise _not_ints()
         length += len(block)
     # the windows that wrap around; an input shorter than n - 1 wraps
     # repeatedly, as in _window_values
@@ -468,6 +481,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         duplicate = (window, (first, second))
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
+
+
+def _not_ints() -> ValueError:
+    return ValueError("symbols must be ints")
 
 
 def _out_of_range(block: Sequence[int], k: int, before: int,

@@ -104,12 +104,13 @@ def rank_lyndon(word: Word, k: int = 2) -> int:
     of the same length and weight, in lexicographic order: the number of
     those Lyndon words that are <= ``least_rotation(word)``.
 
-    The input must be aperiodic (periodic words have no Lyndon rotation);
-    rotations of the same word therefore all share one rank.
+    The input must be a non-empty word of ints in [0, k) and aperiodic
+    (periodic words have no Lyndon rotation), else ValueError; rotations
+    of the same word therefore all share one rank.
     """
     word = tuple(word)
     n = len(word)
-    if n < 1 or not all(0 <= c < k for c in word):
+    if n < 1 or not all(isinstance(c, int) and 0 <= c < k for c in word):
         raise ValueError(f"{word} is not a non-empty word over 0..{k - 1}")
     if period(word) != n:
         raise ValueError(f"{word} is periodic; it has no Lyndon rotation")

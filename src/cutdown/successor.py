@@ -6,12 +6,13 @@ register over any alphabet (``pcr3`` is its binary case); ``mc_step``
 restricts it to an arbitrary window set.  The one cut-down rule,
 ``kary_step``, serves every k >= 2 and takes a *join decision* for the
 weight-m period-h cycles: ``counter_join`` (the first t met; it counts, so
-one pass from the start) or ``threshold_join`` (Lyndon word >= tau;
-stateless), which makes ``cut_down_successor`` context-free.  The rule is
-the readable reference for both loops in ``engine``; the k-ary loop also
-calls it, through this module, for its rare steps that reach the weight cap
-or land on a marker.  A ``counter_join`` must be driven from a single
-thread; everything else here is safe to share.
+one pass from the start) or ``threshold_join`` (Lyndon word >= tau, where
+tau is unranked when the join is built; stateless), which makes
+``cut_down_successor`` context-free.  The rule is the readable reference
+for both loops in ``engine``; the k-ary loop also calls it, through this
+module, for its rare steps that reach the weight cap or land on a marker.
+A ``counter_join`` must be driven from a single thread; everything else
+here is safe to share.
 """
 
 from __future__ import annotations
@@ -127,12 +128,9 @@ def threshold_join(params: CutParams) -> Join:
     ``joins(cand)`` takes a necklace of period h packed as in ``pack`` (see
     ``Join``): its Lyndon block compares with tau as the whole window
     compares with tau repeated n/h times, so one comparison decides.  tau
-    is unranked on first use and cached per parameter set.
+    is unranked when the join is built and cached per parameter set.
     """
-    def joins(cand: int) -> bool:
-        return cand >= _tau(params)
-
-    return joins
+    return _tau(params).__le__
 
 
 def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
@@ -140,9 +138,9 @@ def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
     next symbol is a pure function of the current window.
 
     This is ``kary_step`` with ``threshold_join``, so no joined-cycle
-    counter is needed.  Defined for windows of the target cycle
-    (``on_target_cycle``); elsewhere it returns some symbol in
-    {0, ..., k-1} or raises ValueError.
+    counter is needed; the first call for a parameter set unranks tau.
+    Defined for windows of the target cycle (``on_target_cycle``);
+    elsewhere it returns some symbol in {0, ..., k-1} or raises ValueError.
     """
     return kary_step(word, params, cuts, threshold_join(params))
 
@@ -160,8 +158,8 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
         return False
     if w == m:
         p = period(word)
-        if p > h or (p == h and not threshold_join(params)(
-                pack(least_rotation(word), params.k))):
+        if p > h or (p == h and
+                     pack(least_rotation(word), params.k) < _tau(params)):
             return False
     for size in cuts.sizes:
         cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)

@@ -114,6 +114,21 @@ def test_verify_accepts_reference(capsys, monkeypatch):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("data, extra, code, out, err", [
+    ("0120", (), 1, "invalid: symbol out of range at position 3\n", ""),
+    ("0101", (), 1,
+     "invalid: window 01 repeats at positions 1 and 3 (cyclic)\n", ""),
+    ("0110", ("--len", "5"), 1, "invalid: length 4 does not match --len\n",
+     ""),
+    (" \n\t\n", (), 2, "", "error: empty sequence\n"),
+], ids=["out-of-range", "repeat", "length", "whitespace"])
+def test_verify_text_reports(capsys, monkeypatch, data, extra, code, out,
+                             err):
+    got = run_cli(capsys, "verify", "--n", "2", *extra, stdin=data,
+                  monkeypatch=monkeypatch)
+    assert got == (code, out, err)
+
+
 def test_verify_rejects_duplicate(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--k", "2", "--json",
                            stdin="00100", monkeypatch=monkeypatch)

@@ -50,6 +50,8 @@ def test_mobius_values():
                 9: 0, 10: 1, 11: -1, 12: 0, 30: -1, 36: 0, 210: 1}
     for i, value in expected.items():
         assert mobius(i) == value
+    with pytest.raises(ValueError, match="positive"):
+        mobius(0)
 
 
 @pytest.mark.parametrize("n, w, k, expected", [
@@ -152,3 +154,6 @@ def test_closed_forms_equal_the_row_recurrence():
             count_strings(n, 2, k)
         with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
             count_weight_at_most(2, n, k)
+    # count_lyndon checks n itself, and k through count_strings
+    with pytest.raises(ValueError, match="need n >= 1"):
+        count_lyndon(0, 0, 2)

@@ -23,9 +23,17 @@ def test_derive_params_examples(n, k, L, expected):
 
 @pytest.mark.parametrize("n, k, L", [
     (6, 2, 32), (6, 2, 65), (6, 2, 0), (3, 4, 16), (3, 4, 65),
+    (1, 2, 2), (4, 1, 1),
+    (4, 2, 12.5), (4.0, 2, 12), (4, 2.0, 12), (4, 2, None),
 ])
 def test_derive_params_rejects_out_of_range(n, k, L):
-    with pytest.raises(ValueError, match="<"):
+    if not all(isinstance(x, int) for x in (n, k, L)):
+        match = "must be ints"
+    elif min(n, k) < 2:
+        match = "need n >= 2 and k >= 2"
+    else:
+        match = "<"
+    with pytest.raises(ValueError, match=match):
         derive_params(n, k, L)
 
 
@@ -134,3 +142,6 @@ def test_cut_set_properties(n):
                 return {tuple(base[(j + d) % i] for d in range(n))
                         for j in range(i)}
             assert not windows(i1) & windows(i2)
+    for s in (-1, n):
+        with pytest.raises(ValueError, match="surplus"):
+            cut_set(s, n)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cutdown import successor
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import SequenceSpec, generate, verify
 from cutdown.successor import (
@@ -118,6 +119,31 @@ def test_spec_validation():
         SequenceSpec(n=4, k=2, L=12, mode="successor", start=(0, 1))
     with pytest.raises(ValueError, match="start window applies"):
         SequenceSpec(n=4, k=2, L=12, mode="counter", start=(0, 0, 0, 1))
+    for start in ((0, 0, 2, 1), (0, -1, 0, 1), (0, 0, 0.5, 1), (0, 0, 1.0, 1),
+                  ("0", "0", "0", "1")):
+        with pytest.raises(ValueError, match=r"must be ints in \[0, 2\)"):
+            SequenceSpec(n=4, k=2, L=12, mode="successor", start=start)
+
+
+def test_successor_mode_unranks_tau_at_set_up(monkeypatch):
+    # tau is set-up data: generate has unranked it once by the time it
+    # returns, and the stream never asks again; counter mode never does
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unrank(*args)
+
+    unrank = successor.unrank_lyndon
+    monkeypatch.setattr(successor, "unrank_lyndon", counted)
+    for n, k, L in ((20, 2, 2 ** 20 - 3000), (8, 4, 4 ** 8 - 700)):
+        for mode, want in (("successor", 1), ("counter", 0)):
+            successor._tau.cache_clear()
+            calls.clear()
+            gen = generate(SequenceSpec(n=n, k=k, L=L, mode=mode))
+            assert len(calls) == want, (n, k, mode)
+            assert len(list(itertools.islice(gen, 10 ** 4))) == 10 ** 4
+            assert len(calls) == want, (n, k, mode)
 
 
 def test_generate_is_lazy():
@@ -425,6 +451,23 @@ def test_verify_rejects_bad_order_or_alphabet():
         verify([0, 1, 1], 0, 2)
     with pytest.raises(ValueError, match="k >= 2"):
         verify([0, 0], 2, 1)
+    for n, k in ((2.0, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(ValueError, match="ints"):
+            verify([0, 1, 1, 0], n, k)
+    # symbols that are not ints, as a list (read in place) and as an
+    # iterator (spooled), in the window table (n = 2) and the dict (k huge);
+    # bools are ints
+    for symbols in ([0.5, 1, 0.5], [0.5, 1, 0, 1], [0, 1, 1.0, 0], "0110",
+                    [0, 1, "1", 0], [0, 1, 1, 0, 0, 1j]):
+        for n, k in ((2, 2), (1, 10 ** 12)):
+            for seq in (symbols, iter(symbols)):
+                with pytest.raises(ValueError, match="must be ints"):
+                    verify(seq, n, k)
+    # a symbol above a byte keeps a block out of the spool's bytes()
+    with pytest.raises(ValueError, match="must be ints"):
+        verify(iter([300, 0.5, 1, 0.5]), 1, 10 ** 12)
+    assert verify([False, True, True, False], 2, 2).ok
+    assert verify(iter([False, True, True, False]), 2, 2).ok
 
 
 def test_verify_rejects_empty():

@@ -34,6 +34,9 @@ def test_rank_rejects_symbols_outside_the_alphabet():
         rank_lyndon(to_word("0102"))
     with pytest.raises(ValueError, match="word over"):
         rank_lyndon((), 2)
+    for word in ((0, 1.0, 1), (0, 0.5, 1), ("0", "1", "1")):
+        with pytest.raises(ValueError, match="word over"):
+            rank_lyndon(word)
 
 
 @pytest.mark.parametrize("n, w, r", [

@@ -93,6 +93,21 @@ def _exists(name, modules):
     return False
 
 
+def test_import_loads_no_cli_or_spool_modules():
+    # every process that imports cutdown pays for what that loads; the CLI
+    # and verify's spool import theirs when they run.  Modules the
+    # interpreter loads at start-up (site loads tempfile on some systems)
+    # do not count.
+    probe = ("import sys; before = set(sys.modules); import cutdown; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "cutdown.engine" in added
+    assert added & {"pickle", "tempfile", "argparse", "json"} == set()
+
+
 @pytest.mark.parametrize("section", ["How it works", "Module map"])
 def test_readme_names_exist(section):
     # every backticked Python name in the section must name live code
