@@ -11,8 +11,11 @@ loop carries the positions of the window's least symbol from step to
 step, decides ``pcr3_alt`` with list slice compares (calling it only when
 that symbol is just the dropped one), and hands ``kary_step`` only the
 rare steps that reach the weight cap or a marker.  Both loops yield
-blocks, which ``generate`` chains.  The tests check both loops against
-the tuple rule exhaustively at small n and on random long runs.
+blocks, which ``generate`` chains.  The binary loop takes a new rotation
+class's marks from the necklace probe it has just tested, so the longest
+runs of 0s are found once per probe, not again at the class change.  The
+tests check both loops against the tuple rule exhaustively at small n and
+on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -76,6 +79,8 @@ class SequenceSpec:
                        for c in self.start):
                 raise ValueError(f"start window symbols must be ints in "
                                  f"[0, {self.k})")
+            # a tuple keeps the frozen record hashable
+            object.__setattr__(self, "start", tuple(self.start))
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,8 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
     if spec.start is None:
         zero = (0,) * params.n
         start = zero[1:] + (successor.kary_step(zero, params, cuts, joins),)
-    elif successor.on_target_cycle(tuple(spec.start), params, cuts):
-        start = tuple(spec.start)
+    elif successor.on_target_cycle(spec.start, params, cuts):
+        start = spec.start
     else:
         raise ValueError(
             f"start window {format_word(spec.start, spec.k)} is not on the "
@@ -132,7 +137,13 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # can be a necklace only where _tail_starts marks position t + 1.
     # cmask holds those marks, MSB = position 0; steps at other positions
     # are plain rotations, unless the window is a rotation of a marker,
-    # where every position is marked.
+    # where every position is marked.  A class change after a necklace
+    # probe lands on the probe or on the probe with its last 1 cleared,
+    # and _probe_class_mask takes the new marks from what the probe test
+    # found: its leading 0s (z0) and its other runs of as many (runs).
+    # Only the start window, the all-0 window, the two windows after the
+    # all-1 probe and marker redirects after a failed probe still call
+    # _tail_starts.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -176,10 +187,12 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                 p = 1 if (shifted | 1) == mask else 0
             else:
                 probe = shifted | 1
+                z0 = n - probe.bit_length()
                 zeros = mask ^ probe
                 starts = zeros & low  # later starts of as many 0s
-                for j in range(1, n - probe.bit_length()):
+                for j in range(1, z0):
                     starts &= ((zeros << j) & mask) | (zeros >> (n - j))
+                runs = starts
                 p = n
                 while starts:
                     b = starts.bit_length()
@@ -214,9 +227,13 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     alpha = cand
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
+            elif alpha in marked:
+                cmask = mask
+            elif p and 0 < alpha <= low:
+                # neither the all-0 window nor one after the all-1 probe
+                cmask = _probe_class_mask(alpha, z0, runs, n)
             else:
-                cmask = (mask if alpha in marked
-                         else _tail_starts(mask ^ alpha or mask, n))
+                cmask = _tail_starts(mask ^ alpha or mask, n)
         yield buf.translate(_DIGITS)
         buf.clear()
 
@@ -242,10 +259,32 @@ def _tail_starts(least: int, n: int) -> int:
         runs, z = longer, z + 1
     if runs & (runs - 1):
         return runs
-    u = n - runs.bit_length()
+    return _split_run(z, n - runs.bit_length(), n)
+
+
+def _probe_class_mask(alpha: int, z0: int, runs: int, n: int) -> int:
+    # _tail_starts for a window alpha that the binary loop reaches from a
+    # necklace probe with z0 >= 1 leading 0s, whose other z0-long runs of
+    # 0s start at runs: alpha is the probe, or the probe with its last 1
+    # cleared.  A necklace begins with its longest run of 0s, so the
+    # probe's longest runs start at position 0 and at runs.  Clearing the
+    # last 1 joins it and the tz 0s before it to the leading run: a single
+    # longest run of z0 + tz 0s, from position n - tz.
+    if alpha & 1:
+        if runs:
+            return runs | 1 << (n - 1)
+        z, u = z0, 0
+    else:
+        tz = (alpha & -alpha).bit_length() - 1
+        z, u = z0 + tz, n - tz
+    return _split_run(z, u, n)
+
+
+def _split_run(z: int, u: int, n: int) -> int:
+    # the first (z + 1) // 2 + 1 positions of a z-long run from position u
     c = (z + 1) // 2
     span = ((2 << c) - 1) << (n - 1 - c)  # positions 0..c
-    return ((span >> u) | (span << (n - u))) & full
+    return ((span >> u) | (span << (n - u))) & ((1 << n) - 1)
 
 
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
@@ -402,10 +441,14 @@ def verify(seq: Iterable[int], n: int, k: int,
     reads again.  Windows are marked in a table of k^n bytes, or in a dict
     when the input has fewer than k^n / 64 symbols.
     Failures are reported, not raised; n or k not an int, n < 1, k < 2,
-    an empty input or a symbol that is not an int raises ValueError.
+    expected_len neither None nor an int, an empty input or a symbol that
+    is not an int raises ValueError.
     """
     if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 2:
         raise ValueError("need ints n >= 1 and k >= 2")
+    if not (expected_len is None or isinstance(expected_len, int)):
+        raise ValueError(f"expected_len must be an int or None, not "
+                         f"{expected_len!r}")
     if isinstance(seq, _Blocks):
         blocks = seq.blocks
     elif isinstance(seq, Sequence):
@@ -489,9 +532,15 @@ def _not_ints() -> ValueError:
 
 def _out_of_range(block: Sequence[int], k: int, before: int,
                   rest: Iterator[Sequence[int]]) -> VerifyReport:
-    # the first symbol of block outside [0, k); the rest is only counted
+    # the first symbol of block outside [0, k).  Every symbol from block on
+    # is counted and, as in a sequence read in place in one block, checked
+    # to be an int.
+    length = before
+    for piece in chain((block,), rest):
+        if not all(isinstance(c, int) for c in piece):
+            raise _not_ints()
+        length += len(piece)
     bad = next(i for i, c in enumerate(block, before + 1) if not 0 <= c < k)
-    length = before + len(block) + sum(map(len, rest))
     return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
 
 

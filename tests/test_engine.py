@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cutdown import successor
+from cutdown import engine, successor
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import SequenceSpec, generate, verify
 from cutdown.successor import (
@@ -21,6 +21,7 @@ from cutdown.successor import (
     on_target_cycle,
     threshold_join,
 )
+from cutdown.words import is_necklace
 
 from refdata import (
     CUT_N6_L46,
@@ -119,6 +120,13 @@ def test_spec_validation():
         SequenceSpec(n=4, k=2, L=12, mode="successor", start=(0, 1))
     with pytest.raises(ValueError, match="start window applies"):
         SequenceSpec(n=4, k=2, L=12, mode="counter", start=(0, 0, 0, 1))
+    # a list start is stored as a tuple, so the record stays hashable
+    spec = SequenceSpec(n=4, k=2, L=12, mode="successor", start=[0, 0, 0, 1])
+    assert spec.start == (0, 0, 0, 1)
+    assert hash(spec) == hash(SequenceSpec(n=4, k=2, L=12, mode="successor",
+                                           start=(0, 0, 0, 1)))
+    assert collect(spec) == collect(SequenceSpec(n=4, k=2, L=12,
+                                                 mode="successor"))
     for start in ((0, 0, 2, 1), (0, -1, 0, 1), (0, 0, 0.5, 1), (0, 0, 1.0, 1),
                   ("0", "0", "0", "1")):
         with pytest.raises(ValueError, match=r"must be ints in \[0, 2\)"):
@@ -397,6 +405,53 @@ def test_full_length_window_sets_complete():
         assert len(windows) == k ** n
 
 
+def test_probe_class_mask_equals_tail_starts():
+    # every binary necklace probe to n = 14 (leading 0, last 1), and the
+    # two windows a class change reaches from it: the probe and the probe
+    # with its last 1 cleared.  Marks beyond _tail_starts would cost only
+    # speed, so no output test would see them
+    cases = 0
+    for n in range(2, 15):
+        full = (1 << n) - 1
+        for probe in range(1, 1 << (n - 1), 2):
+            if not is_necklace([probe >> (n - 1 - j) & 1 for j in range(n)]):
+                continue
+            z0 = n - probe.bit_length()
+            zeros = full ^ probe
+            runs = zeros & (full >> 1)  # other starts of z0 0s
+            for j in range(1, z0):
+                runs &= ((zeros << j) & full) | (zeros >> (n - j))
+            for alpha in (probe, probe - 1):
+                if alpha:
+                    cases += 1
+                    assert (engine._probe_class_mask(alpha, z0, runs, n)
+                            == engine._tail_starts(full ^ alpha, n)), (
+                        n, probe, alpha)
+    assert cases == 5161
+
+
+def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
+    # a class change after a necklace probe takes its marks from the
+    # probe.  _tail_starts is left for the start window, the all-0 window,
+    # the two windows after the all-1 probe, and marker redirects, which
+    # fire at most once from each of the two windows before a marker
+    calls = []
+
+    def counted(least, n):
+        calls.append(least)
+        return tail_starts(least, n)
+
+    tail_starts = engine._tail_starts
+    monkeypatch.setattr(engine, "_tail_starts", counted)
+    for n, L in ((9, 2 ** 9), (12, 3000), (13, 7168), (16, 40000),
+                 (16, 2 ** 15 + 1)):
+        markers = cut_set(derive_params(n, 2, L).s, n).markers
+        for mode in ("counter", "successor"):
+            calls.clear()
+            assert len(collect(SequenceSpec(n=n, k=2, L=L, mode=mode))) == L
+            assert 1 <= len(calls) <= 4 + 2 * len(markers), (n, L, mode)
+
+
 # --- verify ---------------------------------------------------------------
 
 def test_verify_reference_52():
@@ -454,6 +509,9 @@ def test_verify_rejects_bad_order_or_alphabet():
     for n, k in ((2.0, 2), (2, 2.0), ("2", 2)):
         with pytest.raises(ValueError, match="ints"):
             verify([0, 1, 1, 0], n, k)
+    for expected_len in ("4", 4.0):
+        with pytest.raises(ValueError, match="expected_len"):
+            verify([0, 1, 1, 0], 2, 2, expected_len=expected_len)
     # symbols that are not ints, as a list (read in place) and as an
     # iterator (spooled), in the window table (n = 2) and the dict (k huge);
     # bools are ints
@@ -463,6 +521,12 @@ def test_verify_rejects_bad_order_or_alphabet():
             for seq in (symbols, iter(symbols)):
                 with pytest.raises(ValueError, match="must be ints"):
                     verify(seq, n, k)
+    # a non-int beside an out-of-range symbol, in either order, or in a
+    # later block of a stream (above a byte, so the spool keeps the list)
+    for symbols in ([0.5, 3], [3, 0.5], [3] + [0] * 2000 + [300, 0.5]):
+        for seq in (symbols, iter(symbols)):
+            with pytest.raises(ValueError, match="must be ints"):
+                verify(seq, 1, 2)
     # a symbol above a byte keeps a block out of the spool's bytes()
     with pytest.raises(ValueError, match="must be ints"):
         verify(iter([300, 0.5, 1, 0.5]), 1, 10 ** 12)
