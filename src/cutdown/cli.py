@@ -181,7 +181,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
                    "markers": markers}
         print(json.dumps(payload))
     else:
-        width = max(len("markers"), 1)
+        width = 7  # len("markers"), the longest name
         for name in ("n", "k", "L", "m", "h", "t", "s"):
             print(f"{name:<{width}} {getattr(params, name)}")
         print(f"{'markers':<{width}} {' '.join(markers) if markers else '-'}")

@@ -10,12 +10,19 @@ inclusion-exclusion over the symbols that exceed k - 1:
                                  for j in 0..min(n, w // k))
 
 and the words of weight at most w by the same sum over C(w - jk + n, n).
-Nothing is cached, so the module holds no state.
+Nothing is cached, so the module holds no state.  An argument that is not
+an int raises ValueError, as an n or k out of range does.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
+
+
+def _check_ints(**args: int) -> None:
+    # bools pass, as they do in engine.verify
+    if not all(isinstance(x, int) for x in args.values()):
+        raise ValueError(f"arguments must be ints, not {args}")
 
 
 def count_strings(n: int, w: int, k: int) -> int:
@@ -24,6 +31,7 @@ def count_strings(n: int, w: int, k: int) -> int:
     Equals the binomial coefficient C(n, w) when k == 2.  Returns 0 for
     weights outside [0, (k-1)*n].
     """
+    _check_ints(n=n, w=w, k=k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0 or w > (k - 1) * n:
@@ -74,6 +82,7 @@ def count_lyndon(n: int, w: int, k: int) -> int:
     With the convention gcd(n, 0) == n, so the only weight-0 Lyndon word is
     the single-symbol word (0,).
     """
+    _check_ints(n=n, w=w)
     if n < 1:
         raise ValueError("need n >= 1")
     total = 0
@@ -86,6 +95,7 @@ def count_lyndon(n: int, w: int, k: int) -> int:
 
 def count_weight_at_most(w: int, n: int, k: int) -> int:
     """Number of length-n words with weight <= w; 0 when w < 0."""
+    _check_ints(w=w, n=n, k=k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0:

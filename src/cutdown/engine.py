@@ -11,11 +11,13 @@ loop carries the positions of the window's least symbol from step to
 step, decides ``pcr3_alt`` with list slice compares (calling it only when
 that symbol is just the dropped one), and hands ``kary_step`` only the
 rare steps that reach the weight cap or a marker.  Both loops yield
-blocks, which ``generate`` chains.  The binary loop takes a new rotation
-class's marks from the necklace probe it has just tested, so the longest
-runs of 0s are found once per probe, not again at the class change.  The
-tests check both loops against the tuple rule exhaustively at small n and
-on random long runs.
+blocks, which ``generate`` chains.  The binary loop carries only the
+window and its marks.  It takes a new rotation class's marks from the
+necklace probe it has just tested, so the longest runs of 0s are found
+once per probe, not again at the class change, and marks every position
+at the few other class changes; only the k-ary loop calls
+``_tail_starts``.  The tests check both loops against the tuple rule
+exhaustively at small n and on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -131,19 +133,22 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # probe only with its rotations that start with as many 0s; the first
     # equal one gives the period the guards need.
     #
+    # Only a necklace probe that adds a 1 can reach the weight cap, so only
+    # that step counts the window's weight.
+    #
     # Between necklace probes the window only rotates, so such runs of
     # steps are copied out of the window in one go.  The probe at step t is
     # the window rotated to start at position t + 1 with bit t set, so it
-    # can be a necklace only where _tail_starts marks position t + 1.
-    # cmask holds those marks, MSB = position 0; steps at other positions
-    # are plain rotations, unless the window is a rotation of a marker,
-    # where every position is marked.  A class change after a necklace
-    # probe lands on the probe or on the probe with its last 1 cleared,
-    # and _probe_class_mask takes the new marks from what the probe test
-    # found: its leading 0s (z0) and its other runs of as many (runs).
-    # Only the start window, the all-0 window, the two windows after the
-    # all-1 probe and marker redirects after a failed probe still call
-    # _tail_starts.
+    # can be a necklace only where _tail_starts would mark position t + 1.
+    # cmask holds marks that cover those positions, MSB = position 0; steps
+    # at other positions are plain rotations.  A class change after a
+    # necklace probe lands on the probe or on the probe with its last 1
+    # cleared, and _probe_class_mask takes the new marks from what the
+    # probe test found: its leading 0s (z0) and its other runs of as many
+    # (runs).  The start window and the rare other class changes mark every
+    # position: the all-0 window, the two windows after the all-1 probe,
+    # the rotations of a marker, where a redirect can fire at any step, and
+    # marker redirects after a failed probe.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -155,9 +160,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
               for r in markers for j in range(n)}
 
     alpha = start
-    w = start.bit_count()
-    # the least symbol is 0, or 1 in the all-1s window
-    cmask = mask if alpha in marked else _tail_starts(mask ^ alpha or mask, n)
+    cmask = mask
     # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
     buf = bytearray()
     append = buf.append
@@ -201,39 +204,24 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                         p = n - b if turned == probe else 0
                         break
                     starts ^= 1 << (b - 1)
+            x = a1
             if p:
                 x = 1 - a1
-                cw = w - a1 + x
-                if cw == m + 1:
-                    x = 0  # w == m: the complement blocks the heavier branch
-                elif cw == m and w == m - 1:
-                    # x == 1 here, so the candidate is the probe itself and
-                    # p is its period
-                    if p > h or (p == h and not joins(shifted | 1)):
+                if x:
+                    # a1 = 0, so shifted keeps the weight w of alpha
+                    w = shifted.bit_count()
+                    if w == m or w == m - 1 and (
+                            p > h or p == h and not joins(shifted | 1)):
                         x = 0
-                cand = shifted | x
-                if cand == r1 or cand == r2:
-                    x = 1 - x
-                    cand = shifted | x
-                alpha = cand
-                w += x - a1
-            else:
-                # next symbol repeats a1; only the marker test can still fire
-                cand = shifted | a1
-                if cand == r1 or cand == r2:
-                    alpha = shifted | (1 - a1)
-                    w += 1 - 2 * a1
-                else:
-                    alpha = cand
+            alpha = shifted | x
+            if alpha == r1 or alpha == r2:
+                alpha ^= 1
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
-            elif alpha in marked:
-                cmask = mask
-            elif p and 0 < alpha <= low:
-                # neither the all-0 window nor one after the all-1 probe
+            elif p and 0 < alpha <= low and alpha not in marked:
                 cmask = _probe_class_mask(alpha, z0, runs, n)
             else:
-                cmask = _tail_starts(mask ^ alpha or mask, n)
+                cmask = mask
         yield buf.translate(_DIGITS)
         buf.clear()
 
@@ -290,10 +278,10 @@ def _split_run(z: int, u: int, n: int) -> int:
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
-    # the window at step i is seq[i:i + n].  As in _binary_symbols, cmask
-    # (MSB = position 0) marks where _tail_starts says a tail can be a
-    # prenecklace, here of the window's least symbol v, and the plain
-    # rotations between marks are copied as slices.  least, the positions
+    # the window at step i is seq[i:i + n].  cmask (MSB = position 0) marks
+    # where _tail_starts says a tail can be a prenecklace of the window's
+    # least symbol v, and, as in _binary_symbols, the plain rotations
+    # between marks are copied as slices.  least, the positions
     # of v, rotates with cmask; a step that changes a symbol updates it,
     # rescanning only when the last v leaves.  A marked step runs pcr3_alt:
     # the tail win[1:] is a prenecklace iff it starts with v and each later

@@ -121,8 +121,11 @@ def unrank_lyndon(n: int, w: int, r: int, k: int = 2) -> Word:
     """The Lyndon word of length n and weight w with 1-based lexicographic
     rank r; the inverse of ``rank_lyndon``.
 
-    Raises ValueError unless 1 <= r <= count_lyndon(n, w, k).
+    Raises ValueError when n, w or r is not an int, or unless
+    1 <= r <= count_lyndon(n, w, k).
     """
+    if not all(isinstance(x, int) for x in (n, w, r)):
+        raise ValueError(f"n, w and r must be ints, not {n!r}, {w!r}, {r!r}")
     total = count_lyndon(n, w, k)
     if not 1 <= r <= total:
         raise ValueError(f"rank {r} out of range [1, {total}] for "

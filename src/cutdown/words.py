@@ -41,7 +41,7 @@ def format_word(word: Sequence[int], k: int) -> str:
 
 def rotate(word: Sequence[int], j: int) -> Word:
     """Left rotation by ``j``: rotate((a1,...,an), 1) == (a2,...,an,a1)."""
-    j %= len(word)
+    j = j % len(word) if word else 0
     return tuple(word[j:]) + tuple(word[:j])
 
 

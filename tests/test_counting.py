@@ -157,3 +157,13 @@ def test_closed_forms_equal_the_row_recurrence():
     # count_lyndon checks n itself, and k through count_strings
     with pytest.raises(ValueError, match="need n >= 1"):
         count_lyndon(0, 0, 2)
+    # non-int arguments raise ValueError, not TypeError; bools are ints
+    for n, w, k in ((2.5, 1, 2), (4, 2.0, 2), (4, 2, 2.0), (4, "2", 2)):
+        with pytest.raises(ValueError, match="must be ints"):
+            count_strings(n, w, k)
+        with pytest.raises(ValueError, match="must be ints"):
+            count_weight_at_most(w, n, k)
+        with pytest.raises(ValueError, match="must be ints"):
+            count_lyndon(n, w, k)
+    assert count_strings(4, True, 2) == count_weight_at_most(True, 4, 2) - 1
+    assert count_lyndon(True, False, 2) == 1

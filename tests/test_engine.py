@@ -432,24 +432,31 @@ def test_probe_class_mask_equals_tail_starts():
 
 def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     # a class change after a necklace probe takes its marks from the
-    # probe.  _tail_starts is left for the start window, the all-0 window,
-    # the two windows after the all-1 probe, and marker redirects, which
-    # fire at most once from each of the two windows before a marker
-    calls = []
+    # probe, and the binary loop never calls _tail_starts.  The other
+    # class changes mark every position: the all-0 window, the two windows
+    # after the all-1 probe, and marker redirects, which fire at most once
+    # from each of the two windows before a marker
+    def tail_starts(least, n):
+        raise AssertionError("the binary loop called _tail_starts")
 
-    def counted(least, n):
-        calls.append(least)
-        return tail_starts(least, n)
+    def counted(*args):
+        served.append(args)
+        return probe_class_mask(*args)
 
-    tail_starts = engine._tail_starts
-    monkeypatch.setattr(engine, "_tail_starts", counted)
+    served = []
+    probe_class_mask = engine._probe_class_mask
+    monkeypatch.setattr(engine, "_tail_starts", tail_starts)
+    monkeypatch.setattr(engine, "_probe_class_mask", counted)
     for n, L in ((9, 2 ** 9), (12, 3000), (13, 7168), (16, 40000),
                  (16, 2 ** 15 + 1)):
         markers = cut_set(derive_params(n, 2, L).s, n).markers
         for mode in ("counter", "successor"):
-            calls.clear()
-            assert len(collect(SequenceSpec(n=n, k=2, L=L, mode=mode))) == L
-            assert 1 <= len(calls) <= 4 + 2 * len(markers), (n, L, mode)
+            served.clear()
+            seq = collect(SequenceSpec(n=n, k=2, L=L, mode=mode))
+            assert len(seq) == L
+            changes = sum(seq[t] != seq[(t + n) % L] for t in range(L))
+            assert changes - len(served) <= 4 + 2 * len(markers), (
+                n, L, mode, changes, len(served))
 
 
 # --- verify ---------------------------------------------------------------

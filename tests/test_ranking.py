@@ -41,9 +41,12 @@ def test_rank_rejects_symbols_outside_the_alphabet():
 
 @pytest.mark.parametrize("n, w, r", [
     (6, 2, 0), (6, 2, 3), (6, 7, 1), (6, -1, 1), (1, 2, 1),
+    (6, 2, 1.5), (4.0, 1, 1), (6, 2.0, 1), (6, 2, "1"),
 ])
 def test_unrank_rejects_out_of_range_ranks(n, w, r):
-    with pytest.raises(ValueError, match="out of range"):
+    ints = all(isinstance(x, int) for x in (n, w, r))
+    with pytest.raises(ValueError,
+                       match="out of range" if ints else "must be ints"):
         unrank_lyndon(n, w, r)
 
 

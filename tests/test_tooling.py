@@ -1,6 +1,7 @@
 """Repository-level checks: the demos run, the package keeps its
 invariants under ``python -O``, ``generate | verify`` works through real
-OS pipes, and the README names only code that exists."""
+OS pipes, every private helper is used, and the README names only code
+that exists."""
 
 import ast
 import importlib
@@ -75,6 +76,31 @@ def test_generate_pipes_into_verify(n, k, L, mode, fmt):
         done = subprocess.run([*cli, "generate", *size], env=_env(),
                               capture_output=True, timeout=60)
         assert done.stdout == (CUT_N6_L46 + "\n").encode()
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name (function, class or constant) that no code in
+    # the package refers to is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "cutdown").glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(t.id for t in targets
+                               if isinstance(t, ast.Name))
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    assert private
+    assert sorted(private - used) == []
 
 
 def _exists(name, modules):

@@ -56,6 +56,12 @@ def test_least_rotation_examples(text, expected):
     assert least_rotation(to_word(text)) == to_word(expected)
 
 
+def test_rotate_examples():
+    assert rotate((0, 1, 1), 1) == (1, 1, 0)
+    assert rotate([0, 1, 1], -1) == (1, 0, 1)
+    assert rotate((), 3) == ()
+
+
 def test_weight_examples():
     assert weight(to_word("000111")) == 3
     assert weight((0, 0, 3, 3)) == 6
