@@ -6,6 +6,9 @@ sequences use digit strings for alphabets up to size 10 and comma-separated
 decimals beyond that.  Digit strings are read and written as bytes, a block
 at a time: only the ASCII digits and whitespace may appear in them.
 
+`generate` writes each block of symbols as the engine makes it, from 64
+up to 8,192 symbols: digits with one `translate`, csv with one `join`.
+
 `verify` reads its file or standard input in 64 KiB blocks and decodes
 each one, digits with one `translate` and csv field by field, with a
 field cut by a block end carried into the next block.  The decoded blocks
@@ -26,18 +29,11 @@ import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from .counting import count_lyndon, count_strings
 from .cutplan import cut_set, derive_params
-from .engine import (
-    _CHUNK,
-    SequenceSpec,
-    VerifyReport,
-    _Blocks,
-    generate,
-    verify,
-)
+from .engine import SequenceSpec, VerifyReport, _Blocks, _blocks, verify
 from .ranking import rank_lyndon
 from .words import format_word
 
@@ -113,18 +109,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     start = _parse_word(args.start) if args.start else None
     spec = SequenceSpec(n=args.n, k=args.k, L=args.len, mode=args.mode,
                         start=start)
-    symbols = generate(spec)
+    blocks = _blocks(spec)
     if fmt == "digits":
         sys.stdout.flush()
         out = sys.stdout.buffer
-        while block := bytes(islice(symbols, _CHUNK)):
-            out.write(block.translate(_ENCODE))
+        for block in blocks:
+            out.write(bytes(block).translate(_ENCODE))
         out.write(b"\n")
         return 0
     out = sys.stdout
     sep = ""
-    while block := ",".join(map(str, islice(symbols, _CHUNK))):
-        out.write(sep + block)
+    for block in blocks:
+        out.write(sep + ",".join(map(str, block)))
         sep = ","
     out.write("\n")
     return 0

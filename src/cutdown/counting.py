@@ -42,6 +42,7 @@ def count_strings(n: int, w: int, k: int) -> int:
 
 def mobius(i: int) -> int:
     """Standard Moebius function: 0 on non-squarefree i, else (-1)^#primes."""
+    _check_ints(i=i)
     if i < 1:
         raise ValueError("mobius is defined for positive integers")
     result = 1
@@ -60,6 +61,7 @@ def mobius(i: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Divisors of n in increasing order."""
+    _check_ints(n=n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -111,6 +113,7 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
     words are the p distinct rotations of each of the count_lyndon(p, w*p/n)
     repeated Lyndon words.
     """
+    _check_ints(w=w, p=p, n=n, k=k)
     if p < 1 or p > n or n % p or (w * p) % n:
         return 0
     return p * count_lyndon(p, w * p // n, k)
@@ -118,6 +121,7 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
 
 def count_weight_period_at_most(w: int, p: int, n: int, k: int) -> int:
     """Number of length-n words with weight w and period <= p; 0 when p < 1."""
+    _check_ints(w=w, p=p, n=n, k=k)
     total = 0
     for q in range(1, min(p, n) + 1):
         total += count_weight_period(w, q, n, k)

@@ -18,32 +18,27 @@ the small cycle [0..01] of a chosen length out of the main cycle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import count_weight_at_most, count_weight_period_at_most
 from .words import Word
 
 
-@dataclass(frozen=True)
-class CutParams:
-    """Parameters driving one cut-down construction."""
+class CutParams(namedtuple("CutParams", "n k L m h t s")):
+    """Parameters driving one cut-down construction: the order n, alphabet
+    size k and length L; the maximum window weight m on the main cycle;
+    the period threshold h for weight-m cycles; the number t of weight-m,
+    period-h cycles joined; and the surplus length s removed by cutting
+    small cycles."""
 
-    n: int
-    k: int
-    L: int
-    m: int  # maximum window weight on the main cycle
-    h: int  # period threshold for weight-m cycles
-    t: int  # number of weight-m, period-h cycles joined
-    s: int  # surplus length removed by cutting small cycles
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(namedtuple("CutSet", "markers sizes")):
     """Marker words at which the successor is redirected, with the length of
     the small cycle each marker excises.  0, 1 or 2 markers; sizes sum to s."""
 
-    markers: tuple[Word, ...]
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.sizes)
@@ -94,7 +89,10 @@ def marker_word(i: int, n: int) -> Word:
     (n mod i) - 1 leading zeros, which is the first one reached by the main
     cycle.  Only i == 1 or i <= ceil(n/2) are cuttable; larger cycles act as
     bridges between register cycles and cannot be removed this way.
+    Raises ValueError when i or n is not an int or i is not cuttable.
     """
+    if not (isinstance(i, int) and isinstance(n, int)):
+        raise ValueError(f"i and n must be ints, not {i!r}, {n!r}")
     if i == 1:
         return (0,) * n
     if not 2 <= i <= (n + 1) // 2:
@@ -111,8 +109,11 @@ def cut_set(surplus: int, n: int) -> CutSet:
     """Markers cutting cycles whose lengths sum to ``surplus``.
 
     One marker suffices for surplus <= ceil(n/2); otherwise the surplus is
-    split as ceil(n/2) + remainder across two disjoint cycles.
+    split as ceil(n/2) + remainder across two disjoint cycles.  Raises
+    ValueError when surplus or n is not an int or surplus is outside [0, n).
     """
+    if not (isinstance(surplus, int) and isinstance(n, int)):
+        raise ValueError(f"surplus and n must be ints, not {surplus!r}, {n!r}")
     if not 0 <= surplus < n:
         raise ValueError(f"surplus {surplus} out of range [0, {n})")
     if surplus == 0:

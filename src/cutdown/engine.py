@@ -11,12 +11,14 @@ loop carries the positions of the window's least symbol from step to
 step, decides ``pcr3_alt`` with list slice compares (calling it only when
 that symbol is just the dropped one), and hands ``kary_step`` only the
 rare steps that reach the weight cap or a marker.  Both loops yield
-blocks, which ``generate`` chains.  The binary loop carries only the
-window and its marks.  It takes a new rotation class's marks from the
-necklace probe it has just tested, so the longest runs of 0s are found
-once per probe, not again at the class change, and marks every position
-at the few other class changes; only the k-ary loop calls
-``_tail_starts``.  The tests check both loops against the tuple rule
+blocks, 64 symbols first and then as many as all before, up to 8,192:
+``_blocks`` runs the set-up and returns the loop, ``generate`` chains
+its blocks, and the command line writes them as they come.  The binary
+loop carries only the window and its marks.  It takes a new rotation
+class's marks from the necklace probe it has just tested, so the longest
+runs of 0s are found once per probe, not again at the class change, and
+marks every position at the few other class changes; only the k-ary loop
+calls ``_tail_starts``.  The tests check both loops against the tuple rule
 exhaustively at small n and on random long runs.
 
 ``verify`` checks the defining property directly: every length-n window of
@@ -33,12 +35,15 @@ bytes, array.array and the like) is read again in place, and any other
 iterable was pickled to a temporary file as it was read.  So verify holds the marks,
 one block and O(n) state, never the whole input, on the accepting and
 the rejecting path alike.
+
+The records here and in ``cutplan`` are named tuples, which import less
+than dataclasses do; each equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice
 
 from . import successor
@@ -52,8 +57,7 @@ _PIECE = 1024
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "n k L mode start")):
     """What to generate: order, alphabet, length, and which rule drives it.
 
     mode "counter" joins the first t weight-m period-h cycles met; mode
@@ -63,38 +67,37 @@ class SequenceSpec:
     target cycle; ``generate`` raises ValueError for any other window.
     """
 
-    n: int
-    k: int
-    L: int
-    mode: str = "counter"
-    start: Word | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("counter", "successor"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.start is not None:
-            if self.mode != "successor":
+    def __new__(cls, n: int, k: int, L: int, mode: str = "counter",
+                start: Word | None = None) -> SequenceSpec:
+        if mode not in ("counter", "successor"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if start is not None:
+            if mode != "successor":
                 raise ValueError("start window applies to successor mode only")
-            if len(self.start) != self.n:
+            if len(start) != n:
                 raise ValueError("start window must have length n")
-            if not all(isinstance(c, int) and 0 <= c < self.k
-                       for c in self.start):
+            if not all(isinstance(c, int) and 0 <= c < k for c in start):
                 raise ValueError(f"start window symbols must be ints in "
-                                 f"[0, {self.k})")
-            # a tuple keeps the frozen record hashable
-            object.__setattr__(self, "start", tuple(self.start))
+                                 f"[0, {k})")
+            start = tuple(start)  # a tuple keeps the record hashable
+        return super().__new__(cls, n, k, L, mode, start)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SequenceSpec:
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "ok length first_duplicate "
+                              "out_of_range_symbol", defaults=(None, None))):
     """Outcome of a verification: ok iff no duplicate cyclic window, no
     out-of-range symbol, and the expected length (when given) matches.
-    Positions are 1-based."""
+    Positions are 1-based: first_duplicate is (window, (first, second)),
+    out_of_range_symbol the position of the first bad symbol."""
 
-    ok: bool
-    length: int
-    first_duplicate: tuple[Word, tuple[int, int]] | None = None
-    out_of_range_symbol: int | None = None
+    __slots__ = ()
 
 
 def generate(spec: SequenceSpec) -> Iterator[int]:
@@ -106,6 +109,12 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
     unranking tau (see ``successor.threshold_join``), so no symbol waits
     for it.
     """
+    return chain.from_iterable(_blocks(spec))
+
+
+def _blocks(spec: SequenceSpec) -> Iterator[Sequence[int]]:
+    # generate's blocks: bytes-like for k = 2, lists for larger k, from 64
+    # up to _CHUNK symbols.  All set-up runs here, before the loop starts.
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
     joins = (successor.counter_join(params) if spec.mode == "counter"
@@ -119,9 +128,8 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
         raise ValueError(
             f"start window {format_word(spec.start, spec.k)} is not on the "
             f"target cycle for n={spec.n}, L={spec.L}")
-    blocks = (_binary_symbols(params, cuts, pack(start), joins) if spec.k == 2
-              else _list_symbols(params, cuts, start, joins))
-    return chain.from_iterable(blocks)
+    return (_binary_symbols(params, cuts, pack(start), joins) if spec.k == 2
+            else _list_symbols(params, cuts, start, joins))
 
 
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,

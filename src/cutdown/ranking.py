@@ -105,9 +105,11 @@ def rank_lyndon(word: Word, k: int = 2) -> int:
     those Lyndon words that are <= ``least_rotation(word)``.
 
     The input must be a non-empty word of ints in [0, k) and aperiodic
-    (periodic words have no Lyndon rotation), else ValueError; rotations
-    of the same word therefore all share one rank.
+    (periodic words have no Lyndon rotation), and k must be an int, else
+    ValueError; rotations of the same word therefore all share one rank.
     """
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, not {k!r}")
     word = tuple(word)
     n = len(word)
     if n < 1 or not all(isinstance(c, int) and 0 <= c < k for c in word):

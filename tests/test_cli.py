@@ -1,6 +1,7 @@
 """Command-line surface, driven through main() with captured stdio."""
 
 import io
+import itertools
 import json
 import sys
 
@@ -247,6 +248,38 @@ def test_verify_digits_with_whitespace(capsys, monkeypatch):
                            stdin="0190", monkeypatch=monkeypatch)
     assert code == 1
     assert json.loads(out)["out_of_range_symbol"] == 3
+
+
+def _cycle_window(n, k, L, at):
+    # the window at position `at` of the default successor-mode cycle
+    head = list(itertools.islice(
+        generate(SequenceSpec(n=n, k=k, L=L, mode="successor")), at + n))
+    return tuple(head[at:])
+
+
+# (n, k, L): L < 64 is one short block; the long L run to more than three
+# blocks (64, 64, 128, ...), and at k = 2 to full 8,192-symbol blocks
+@pytest.mark.parametrize("n, k, L", [
+    (6, 2, 46), (15, 2, 20000),
+    (3, 4, 50), (6, 4, 4000),
+    (2, 12, 50), (3, 12, 1700),
+])
+@pytest.mark.parametrize("mode", ["counter", "successor"])
+def test_generate_writes_the_symbols_of_generate(capsys, n, k, L, mode):
+    start = _cycle_window(n, k, L, 7) if mode == "successor" else None
+    spec = SequenceSpec(n=n, k=k, L=L, mode=mode, start=start)
+    symbols = list(generate(spec))
+    assert len(symbols) == L
+    argv = ["generate", "--n", str(n), "--k", str(k), "--len", str(L),
+            "--mode", mode]
+    if start is not None:
+        argv += ["--start", format_word(start, k)]
+    formats = ["digits", "csv"] if k <= 10 else ["csv"]
+    for fmt in formats:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        sep = "" if fmt == "digits" else ","
+        assert out == sep.join(map(str, symbols)) + "\n", fmt
 
 
 def test_generate_csv_matches_digits(capsys):

@@ -11,6 +11,7 @@ from cutdown.counting import (
     count_weight_at_most,
     count_weight_period,
     count_weight_period_at_most,
+    divisors,
     mobius,
 )
 from cutdown.words import is_necklace, period
@@ -167,3 +168,22 @@ def test_closed_forms_equal_the_row_recurrence():
             count_lyndon(n, w, k)
     assert count_strings(4, True, 2) == count_weight_at_most(True, 4, 2) - 1
     assert count_lyndon(True, False, 2) == 1
+
+
+def test_divisor_and_period_counts_reject_non_ints():
+    # these used to answer: mobius(2.5) gave -1, divisors(6.0) gave
+    # [1, 2, 3.0, 6.0] and count_weight_period(2, 3, 4.5, 2) gave 0
+    for call in (lambda: mobius(2.5), lambda: divisors(6.0),
+                 lambda: divisors("6"),
+                 lambda: count_weight_period(2, 3, 4.5, 2),
+                 lambda: count_weight_period(2.0, 3, 6, 2),
+                 lambda: count_weight_period(2, 3, 6, 2.0),
+                 lambda: count_weight_period_at_most(2, 2.5, 4, 2),
+                 lambda: count_weight_period_at_most(2, 2, 4, "2")):
+        with pytest.raises(ValueError, match="must be ints"):
+            call()
+    # bools are ints, as elsewhere in the module
+    assert mobius(True) == 1
+    assert divisors(True) == [1]
+    assert count_weight_period(True, 1, 2, 2) == 0
+    assert count_weight_period_at_most(True, 2, 2, 2) == 2

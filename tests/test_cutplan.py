@@ -145,3 +145,16 @@ def test_cut_set_properties(n):
     for s in (-1, n):
         with pytest.raises(ValueError, match="surplus"):
             cut_set(s, n)
+
+
+def test_cut_set_and_marker_word_reject_non_ints():
+    # cut_set(1.0, 4) used to return sizes=(1.0,), and marker_word(2.0, 4)
+    # raised TypeError
+    for s, n in ((1.0, 4), (1, 4.0), ("1", 4)):
+        with pytest.raises(ValueError, match="must be ints"):
+            cut_set(s, n)
+    for i, n in ((2.0, 4), (1.0, 4), (2, 4.0), (1, "4")):
+        with pytest.raises(ValueError, match="must be ints"):
+            marker_word(i, n)
+    assert cut_set(True, 4) == CutSet(markers=((0, 0, 0, 0),), sizes=(1,))
+    assert marker_word(True, 3) == (0, 0, 0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 import tempfile
 import time
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutdown import engine, successor
-from cutdown.cutplan import cut_set, derive_params
-from cutdown.engine import SequenceSpec, generate, verify
+from cutdown.cutplan import CutParams, CutSet, cut_set, derive_params
+from cutdown.engine import SequenceSpec, VerifyReport, generate, verify
 from cutdown.successor import (
     counter_join,
     cut_down_successor,
@@ -131,6 +132,56 @@ def test_spec_validation():
                   ("0", "0", "0", "1")):
         with pytest.raises(ValueError, match=r"must be ints in \[0, 2\)"):
             SequenceSpec(n=4, k=2, L=12, mode="successor", start=start)
+
+
+@pytest.mark.parametrize("record, text", [
+    (CutParams(n=6, k=2, L=46, m=4, h=6, t=1, s=5),
+     "CutParams(n=6, k=2, L=46, m=4, h=6, t=1, s=5)"),
+    (CutSet(markers=((0, 0, 1, 0, 0, 1),), sizes=(3,)),
+     "CutSet(markers=((0, 0, 1, 0, 0, 1),), sizes=(3,))"),
+    (SequenceSpec(n=4, k=2, L=12, mode="successor", start=(0, 0, 0, 1)),
+     "SequenceSpec(n=4, k=2, L=12, mode='successor', start=(0, 0, 0, 1))"),
+    (SequenceSpec(4, 2, 12),
+     "SequenceSpec(n=4, k=2, L=12, mode='counter', start=None)"),
+    (VerifyReport(ok=False, length=6, first_duplicate=((0, 0), (1, 5))),
+     "VerifyReport(ok=False, length=6, first_duplicate=((0, 0), (1, 5)), "
+     "out_of_range_symbol=None)"),
+], ids=["CutParams", "CutSet", "SequenceSpec", "SequenceSpec-defaults",
+        "VerifyReport"])
+def test_records(record, text):
+    # frozen, hashable named tuples whose repr reads as their constructor
+    assert repr(record) == text
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no instance dict
+    twin = type(record)(*record)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert type(pickle.loads(pickle.dumps(record))) is type(record)
+    # a named tuple equals the plain tuple of its fields
+    assert record == tuple(record)
+
+
+def test_spec_replace_validates():
+    spec = SequenceSpec(n=4, k=2, L=12, mode="successor")
+    with pytest.raises(ValueError, match="unknown mode 'zigzag'"):
+        spec._replace(mode="zigzag")
+    with pytest.raises(ValueError, match="length n"):
+        spec._replace(start=(0, 1))
+    with pytest.raises(ValueError, match="start window applies"):
+        spec._replace(start=(0, 0, 0, 1), mode="counter")
+    moved = spec._replace(start=[0, 0, 0, 1])
+    assert moved.start == (0, 0, 0, 1)
+    assert moved == SequenceSpec(4, 2, 12, "successor", (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="unknown mode"):
+        SequenceSpec._make((4, 2, 12, "zigzag", None))
+    # unpickling builds through __new__, so it validates too
+    forged = pickle.dumps(spec).replace(b"successor", b"zigzag___")
+    with pytest.raises(ValueError, match="unknown mode"):
+        pickle.loads(forged)
 
 
 def test_successor_mode_unranks_tau_at_set_up(monkeypatch):

@@ -39,6 +39,13 @@ def test_rank_rejects_symbols_outside_the_alphabet():
             rank_lyndon(word)
 
 
+def test_rank_rejects_a_non_int_alphabet():
+    # a float k used to raise AttributeError from inside the count
+    for k in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="k must be an int"):
+            rank_lyndon((0, 1), k)
+
+
 @pytest.mark.parametrize("n, w, r", [
     (6, 2, 0), (6, 2, 3), (6, 7, 1), (6, -1, 1), (1, 2, 1),
     (6, 2, 1.5), (4.0, 1, 1), (6, 2.0, 1), (6, 2, "1"),

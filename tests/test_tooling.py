@@ -132,6 +132,8 @@ def test_import_loads_no_cli_or_spool_modules():
     added = set(done.stdout.split())
     assert "cutdown.engine" in added
     assert added & {"pickle", "tempfile", "argparse", "json"} == set()
+    # the records are named tuples: no dataclasses, and so no inspect
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize("section", ["How it works", "Module map"])
