@@ -122,7 +122,5 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
 def count_weight_period_at_most(w: int, p: int, n: int, k: int) -> int:
     """Number of length-n words with weight w and period <= p; 0 when p < 1."""
     _check_ints(w=w, p=p, n=n, k=k)
-    total = 0
-    for q in range(1, min(p, n) + 1):
-        total += count_weight_period(w, q, n, k)
-    return total
+    # only a divisor of n is the period of a length-n word
+    return sum(count_weight_period(w, q, n, k) for q in divisors(n) if q <= p)

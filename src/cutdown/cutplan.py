@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
-from .counting import count_weight_at_most, count_weight_period_at_most
+from .counting import count_weight_at_most, count_weight_period, divisors
 from .words import Word
 
 
@@ -67,17 +67,21 @@ def derive_params(n: int, k: int, L: int) -> CutParams:
                     key=lambda w: count_weight_at_most(w, n, k))
     below = count_weight_at_most(m - 1, n, k)
 
-    h = 1
-    while below + count_weight_period_at_most(m, h, n, k) < L:
-        h += 1
-
-    base = below + count_weight_period_at_most(m, h - 1, n, k)
+    # the least h with A(m-1) + C(m, h) >= L: C grows only where h
+    # divides n, so h is a divisor, and base is the length before it
+    base = below
+    for h in divisors(n):
+        size = count_weight_period(m, h, n, k)
+        if base + size >= L:
+            break
+        base += size
     # smallest t >= 1 with base + t*h >= L; base < L by minimality of h
     t = -((base - L) // h)
 
     s = base + t * h - L
-    if not 0 <= s < h <= n:
-        raise RuntimeError(f"derived s={s}, h={h} violate 0 <= s < h <= n={n}")
+    if not (t >= 1 and 0 <= s < h <= n):
+        raise RuntimeError(f"derived t={t}, s={s}, h={h} violate t >= 1 and "
+                           f"0 <= s < h <= n={n}")
     return CutParams(n=n, k=k, L=L, m=m, h=h, t=t, s=s)
 
 

@@ -18,8 +18,13 @@ loop carries only the window and its marks.  It takes a new rotation
 class's marks from the necklace probe it has just tested, so the longest
 runs of 0s are found once per probe, not again at the class change, and
 marks every position at the few other class changes; only the k-ary loop
-calls ``_tail_starts``.  The tests check both loops against the tuple rule
-exhaustively at small n and on random long runs.
+calls ``_tail_starts``.  Both find runs by doubling: the starts of z-long
+runs, and-ed with themselves shifted by d <= z, are the starts of
+(z + d)-long runs.  So the probe finds the other runs as long as its
+leading z0 0s in about log2(z0) + 1 steps of O(n) bit work, not z0 - 1,
+and ``_tail_starts`` finds the longest run by doubling z and then adding
+halves.  The tests check both loops against the tuple rule exhaustively
+at small n and on random long runs, to n = 1024 at k = 2.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -139,7 +144,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # next symbol repeats the first one and no guard can fire.  A necklace
     # begins with its longest run of 0s, so the probe test compares the
     # probe only with its rotations that start with as many 0s; the first
-    # equal one gives the period the guards need.
+    # equal one gives the period the guards need.  Those rotations start
+    # where the other z0-long runs do, which the probe finds by doubling:
+    # at large n the opening stretch's probes lead with hundreds of 0s.
+    # The search stays inline, as a helper call per probe would cost a few
+    # percent.
     #
     # Only a necklace probe that adds a 1 can reach the weight cap, so only
     # that step counts the window's weight.
@@ -199,10 +208,17 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             else:
                 probe = shifted | 1
                 z0 = n - probe.bit_length()
-                zeros = mask ^ probe
-                starts = zeros & low  # later starts of as many 0s
-                for j in range(1, z0):
-                    starts &= ((zeros << j) & mask) | (zeros >> (n - j))
+                # later starts of as many 0s, by doubling: the starts of
+                # z-long runs, and-ed with themselves shifted by d <= z,
+                # are those of (z + d)-long runs.  No run wraps, since the
+                # probe ends with a 1, so from the 0s after the leading
+                # run (starts of 1-long runs) shifts alone find them
+                starts = probe ^ (mask >> z0)
+                z = 1
+                while z < z0:
+                    d = z if z + z <= z0 else z0 - z
+                    starts &= starts << d
+                    z += d
                 runs = starts
                 p = n
                 while starts:
@@ -247,12 +263,24 @@ def _tail_starts(least: int, n: int) -> int:
     full = (1 << n) - 1
     if least == full:
         return full
-    runs, z = least, 1  # runs: starts of z-long runs of the least symbol
+    # runs: the starts of z-long runs of the least symbol.  And-ed with
+    # the starts of d-long runs turned by z, they give those of z + d.  So
+    # z doubles while such runs exist, keeping each power's starts, and
+    # then adds z/2, z/4, ..., 1 wherever the runs still reach.
+    runs, z = least, 1
+    powers = []
     while True:
-        longer = runs & (((least << z) & full) | (least >> (n - z)))
+        longer = runs & (((runs << z) & full) | (runs >> (n - z)))
         if not longer:
             break
-        runs, z = longer, z + 1
+        powers.append(runs)
+        runs, z = longer, z + z
+    d = z
+    for part in reversed(powers):
+        d >>= 1
+        longer = runs & (((part << z) & full) | (part >> (n - z)))
+        if longer:
+            runs, z = longer, z + d
     if runs & (runs - 1):
         return runs
     return _split_run(z, n - runs.bit_length(), n)

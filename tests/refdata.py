@@ -8,9 +8,15 @@ and 52.  Tests treat them as frozen expected values.
 
 ``verify_reference`` is the direct verifier the table-based
 ``engine.verify`` is checked against: one dict from window value to its
-first position, O(L) memory.
+first position, O(L) memory.  ``weight_period_at_most_reference`` and
+``derive_params_reference`` sum the period counts over every period, not
+only over the divisors of n.
 """
 
+from bisect import bisect_left
+
+from cutdown.counting import count_weight_at_most, count_weight_period
+from cutdown.cutplan import CutParams
 from cutdown.engine import VerifyReport
 
 # full de Bruijn sequence, n=6, k=2, traced from 000000
@@ -83,3 +89,23 @@ def verify_reference(seq, n, k, expected_len=None):
 
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
+
+
+def weight_period_at_most_reference(w, p, n, k):
+    """``counting.count_weight_period_at_most`` summed over q = 1..p."""
+    return sum(count_weight_period(w, q, n, k)
+               for q in range(1, min(p, n) + 1))
+
+
+def derive_params_reference(n, k, L):
+    """``cutplan.derive_params`` with h found by trying h = 1, 2, ... in
+    turn, each against the weight-m words of period <= h counted anew."""
+    m = bisect_left(range((k - 1) * n + 1), L,
+                    key=lambda w: count_weight_at_most(w, n, k))
+    below = count_weight_at_most(m - 1, n, k)
+    h = 1
+    while below + weight_period_at_most_reference(m, h, n, k) < L:
+        h += 1
+    base = below + weight_period_at_most_reference(m, h - 1, n, k)
+    t = -((base - L) // h)
+    return CutParams(n=n, k=k, L=L, m=m, h=h, t=t, s=base + t * h - L)

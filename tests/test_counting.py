@@ -16,6 +16,8 @@ from cutdown.counting import (
 )
 from cutdown.words import is_necklace, period
 
+from refdata import weight_period_at_most_reference
+
 
 def brute_by_weight(n, k):
     counts = {}
@@ -124,6 +126,17 @@ def test_sum_identities(k):
             by_period = sum(count_weight_period(w, p, n, k)
                             for p in range(1, n + 1))
             assert by_period == count_strings(n, w, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_period_count_at_most_equals_the_sum_over_every_period(k):
+    # the sum runs over the divisors of n only; the reference over q <= p
+    for n in range(1, 41):
+        for w in range((k - 1) * n + 1):
+            for p in range(-1, n + 2):
+                assert (count_weight_period_at_most(w, p, n, k)
+                        == weight_period_at_most_reference(w, p, n, k)), (
+                    w, p, n)
 
 
 def test_monotonicity():

@@ -1,5 +1,6 @@
 """Cut parameters, marker words, and cut sets."""
 
+import random
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from cutdown.counting import count_weight_at_most, count_weight_period_at_most
 from cutdown.cutplan import CutSet, cut_set, derive_params, marker_word
 from cutdown.words import weight
 
-from refdata import to_word
+from refdata import derive_params_reference, to_word
 
 
 @pytest.mark.parametrize("n, k, L, expected", [
@@ -67,6 +68,21 @@ def test_derive_params_m_equals_the_linear_search():
             while count_weight_at_most(m, n, k) < L:
                 m += 1
             assert derive_params(n, k, L).m == m, (n, k, L)
+
+
+def test_derive_params_equals_the_search_over_every_period():
+    # h is found among the divisors of n; the reference tries every h
+    cases = [(n, 2, L) for n in range(2, 11)
+             for L in range(2 ** (n - 1) + 1, 2 ** n + 1)]
+    cases += [(n, k, L) for k in range(3, 6) for n in range(2, 6)
+              for L in range(k ** (n - 1) + 1, k ** n + 1)]
+    rng = random.Random(16)
+    for _ in range(100):
+        n, k = rng.randint(2, 200), rng.randint(2, 5)
+        cases.append((n, k, rng.randint(k ** (n - 1) + 1, k ** n)))
+    for n, k, L in cases:
+        assert derive_params(n, k, L) == derive_params_reference(n, k, L), (
+            n, k, L)
 
 
 def test_derive_params_is_fast_for_a_huge_alphabet():

@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +23,7 @@ from cutdown.successor import (
     on_target_cycle,
     threshold_join,
 )
-from cutdown.words import is_necklace
+from cutdown.words import is_necklace, least_rotation, pack
 
 from refdata import (
     CUT_N6_L46,
@@ -303,6 +304,39 @@ def test_packed_loop_equals_tuple_rule_at_large_n(data):
     assert list(itertools.islice(generate(spec), 2000)) == ref
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_packed_loop_equals_tuple_rule_at_wide_n(data):
+    # first 2000 symbols at k = 2, n = 256..1024: counter runs from the
+    # default start, where the probes' leading runs of 0s are longest, and
+    # successor runs from a random on-cycle window of weight m - 1, where
+    # longest runs of 0s often tie: 2000 symbols, 2n or more, let the
+    # probe meet those ties.
+    # Unranking tau at h = n >= 256 takes seconds to minutes, and the loop
+    # treats every threshold alike, so successor runs join above a drawn
+    # weight-m necklace instead
+    n = data.draw(st.integers(256, 1024), label="n")
+    L = data.draw(st.integers(2 ** (n - 1) + 1, 2 ** n), label="L")
+    mode = data.draw(st.sampled_from(["counter", "successor"]), label="mode")
+    params = derive_params(n, 2, L)
+    cuts = cut_set(params.s, n)
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    start, tau = None, None
+    if mode == "successor":
+        def word(w):
+            ones = set(rng.sample(range(n), w))
+            return tuple(int(i in ones) for i in range(n))
+        tau = pack(least_rotation(word(params.m)))
+        start = word(params.m - 1)
+        assume(on_target_cycle(start, params, cuts))
+    with mock.patch.object(successor, "_tau", lambda params: tau):
+        joins = (counter_join if mode == "counter" else threshold_join)(params)
+        ref, _ = iterate(start or start_after_zero(params, cuts, joins),
+                         lambda w: kary_step(w, params, cuts, joins), 2000)
+        spec = SequenceSpec(n=n, k=2, L=L, mode=mode, start=start)
+        assert list(itertools.islice(generate(spec), 2000)) == ref
+
+
 @pytest.mark.parametrize("k", [257, 300])
 def test_alphabets_beyond_a_byte(k):
     # symbols above 255 go through the list loop unchanged
@@ -444,6 +478,33 @@ def test_first_symbol_comes_before_a_full_block():
         assert first < block / 4, (spec.k, first, block)
 
 
+def test_binary_cost_per_symbol_barely_grows_with_n():
+    # the probe finds its runs of 0s by doubling, so the opening stretch
+    # at n = 1024, where the probes' leading runs are hundreds long, costs
+    # about what n = 64 does (2-3x on a 2-vCPU VM; z0 - 1 steps per probe
+    # made about 50x).  Set-up is timed apart: derive_params walks only
+    # the divisors of n for h, so at this L it takes about 0.2 s, most of
+    # it in the bisection for m, which costs up to 0.8 s for L near 2^n
+    def per_symbol(n, count):
+        best = float("inf")
+        for _ in range(2):
+            gen = generate(SequenceSpec(n=n, k=2, L=2 ** n - 2 ** (n - 1) // 3))
+            t0 = time.perf_counter()
+            for _ in itertools.islice(gen, count):
+                pass
+            best = min(best, (time.perf_counter() - t0) / count)
+        return best
+
+    ratio = per_symbol(1024, 2 * 10 ** 4) / per_symbol(64, 10 ** 5)
+    assert ratio < 6, ratio
+    seconds = float("inf")
+    for _ in range(2):
+        t0 = time.perf_counter()
+        derive_params(1024, 2, 2 ** 1024 - 2 ** 1023 // 3)
+        seconds = min(seconds, time.perf_counter() - t0)
+    assert seconds < 0.5, seconds
+
+
 def test_full_length_window_sets_complete():
     # L == k^n must produce every window exactly once (k^n <= 5000)
     for n, k in [(2, 2), (3, 2), (4, 2), (8, 2), (12, 2),
@@ -479,6 +540,36 @@ def test_probe_class_mask_equals_tail_starts():
                             == engine._tail_starts(full ^ alpha, n)), (
                         n, probe, alpha)
     assert cases == 5161
+
+
+def tail_starts_reference(least, n):
+    # _tail_starts from its definition, position by position: the starts
+    # of the longest runs, or the first (z + 1) // 2 + 1 positions of a
+    # single longest run of z
+    bits = [least >> (n - 1 - i) & 1 for i in range(n)]
+    if all(bits):
+        return least
+
+    def run(i):
+        z = 0
+        while bits[(i + z) % n]:
+            z += 1
+        return z
+
+    lengths = [run(i) for i in range(n)]
+    z = max(lengths)
+    marks = [i for i in range(n) if lengths[i] == z]
+    if len(marks) == 1:
+        marks = [(marks[0] + j) % n for j in range((z + 1) // 2 + 1)]
+    return sum(1 << (n - 1 - i) for i in marks)
+
+
+def test_tail_starts_equals_the_reference():
+    # every mask of the least symbol's positions to n = 14
+    for n in range(1, 15):
+        for least in range(1, 1 << n):
+            assert (engine._tail_starts(least, n)
+                    == tail_starts_reference(least, n)), (n, least)
 
 
 def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
