@@ -9,7 +9,10 @@ inclusion-exclusion over the symbols that exceed k - 1:
     count_strings(n, w, k) = sum((-1)^j C(n, j) C(w - jk + n - 1, n - 1)
                                  for j in 0..min(n, w // k))
 
-and the words of weight at most w by the same sum over C(w - jk + n, n).
+and the words of weight at most w by the same sum over C(w - jk + n, n),
+or, above half the largest weight, as k^n less the words of weight at
+most (k-1)n - w - 1, which the complement c -> k-1-c maps onto those
+heavier than w.
 Nothing is cached, so the module holds no state.  An argument that is not
 an int raises ValueError, as an n or k out of range does.
 """
@@ -102,6 +105,9 @@ def count_weight_at_most(w: int, n: int, k: int) -> int:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0:
         return 0
+    if 2 * w > (k - 1) * n:
+        # the symbol complement c -> k-1-c keeps the sum below short
+        return k ** n - count_weight_at_most((k - 1) * n - w - 1, n, k)
     return sum((-1) ** j * comb(n, j) * comb(w - j * k + n, n)
                for j in range(min(n, w // k) + 1))
 

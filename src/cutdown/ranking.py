@@ -20,9 +20,10 @@ operations on integers of about w * log2(k^n) bits.
 
 ``unrank_lyndon`` fixes one symbol per position: the r-th word has prefix
 p c for the smallest c whose count up to p c (k-1)^* reaches r.  Every such
-bound that can hold a Lyndon word is itself a prenecklace, so it needs at
-most k - 1 counts per position.  After Kociumaka, Radoszewski and Rytter
-(CPM 2014) and Hartman and Sawada (TCS 2019).
+bound that can hold a Lyndon word is itself a prenecklace, so c starts at
+the least symbol that keeps p c one, read off ``words.prenecklace_period``,
+and it needs at most k - 1 counts per position.  After Kociumaka,
+Radoszewski and Rytter (CPM 2014) and Hartman and Sawada (TCS 2019).
 
 ``enumerate_lyndon`` is the independent oracle: it filters every k-ary word,
 so it refuses to run above a candidate-count limit.
@@ -34,7 +35,8 @@ from itertools import product
 from math import gcd
 
 from .counting import count_lyndon, divisors, mobius
-from .words import Word, is_necklace, least_rotation, period, weight
+from .words import (Word, is_necklace, least_rotation, period,
+                    prenecklace_period, weight)
 
 ORACLE_LIMIT = 10 ** 7
 
@@ -43,9 +45,13 @@ def enumerate_lyndon(n: int, w: int, k: int, limit: int = ORACLE_LIMIT) -> list[
     """All Lyndon words of length n and weight w in increasing lexicographic
     order, found by filtering all k^n candidate words.
 
-    Refuses (ValueError) when k^n exceeds ``limit``; this is an oracle for
-    validation, not a production enumerator.
+    Raises ValueError, as ``count_lyndon`` does, when n, w or k is not an
+    int, n < 1 or k < 2; an out-of-range w gives [].  Refuses (ValueError)
+    when k^n exceeds ``limit``; this is an oracle for validation, not a
+    production enumerator.
     """
+    if not all(isinstance(x, int) for x in (n, w, k)) or n < 1 or k < 2:
+        raise ValueError(f"need ints n >= 1 and k >= 2, not {(n, w, k)}")
     if k ** n > limit:
         raise ValueError(f"k^n = {k ** n} exceeds the oracle limit {limit}")
     out = []
@@ -133,16 +139,14 @@ def unrank_lyndon(n: int, w: int, r: int, k: int = 2) -> Word:
         raise ValueError(f"rank {r} out of range [1, {total}] for "
                          f"n={n}, w={w}, k={k}")
     word: Word = ()
-    p = 1  # period of the longest Lyndon prefix of ``word``
     for i in range(n):
-        # a prefix word + (c,) of a necklace needs c >= word[i - p]
-        lo = word[i - p] if i else 0
+        # a prefix word + (c,) of a necklace needs c >= word[-p], with p
+        # the period of the longest Lyndon prefix of word
+        lo = word[-prenecklace_period(word)] if word else 0
         c = k - 1
         for d in range(lo, k - 1):
             if _lyndon_at_most(word + (d,) + (k - 1,) * (n - i - 1), w, k) >= r:
                 c = d
                 break
-        if c > lo:
-            p = i + 1
         word += (c,)
     return word

@@ -2,7 +2,8 @@
 
 Everything operates on words as tuples of ints (first symbol = oldest).
 ``pcr3_alt`` is the underlying de Bruijn successor for the pure cycling
-register over any alphabet (``pcr3`` is its binary case); ``mc_step``
+register over any alphabet (``pcr3`` is its binary case), decided by one
+``words.prenecklace_period`` scan of the window's tail; ``mc_step``
 restricts it to an arbitrary window set.  The one cut-down rule,
 ``kary_step``, serves every k >= 2 and takes a *join decision* for the
 weight-m period-h cycles: ``counter_join`` (the first t met; it counts, so
@@ -23,7 +24,7 @@ from functools import lru_cache
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
 from .ranking import unrank_lyndon
-from .words import Word, least_rotation, pack, period
+from .words import Word, least_rotation, pack, period, prenecklace_period
 
 
 def pcr3(word: Word) -> int:
@@ -41,21 +42,19 @@ def pcr3_alt(word: Word, k: int) -> int:
     symbol and appending c yields a necklace (c = 0 if none).  Returns k-1
     when the first symbol is c-1, first symbol minus one when it is >= c > 0,
     else the first symbol unchanged.  Iterated from any word it traces a
-    full de Bruijn sequence.
+    full de Bruijn sequence.  The empty word raises ValueError.
     """
-    # One scan of tail = word[1:], by the fundamental theorem of necklaces:
-    # with p the period of tail's longest Lyndon prefix and b = tail[-p],
-    # tail + (c,) is a necklace iff c > b, or c == b and p divides n.  A
-    # tail that is not a prenecklace extends to no necklace at all.
+    # By the fundamental theorem of necklaces, with p the period of the
+    # tail's longest Lyndon prefix and b = tail[-p], tail + (c,) is a
+    # necklace iff c > b, or c == b and p divides n.  A tail that is not a
+    # prenecklace extends to no necklace at all.
+    if not word:
+        raise ValueError("pcr3_alt has no successor for the empty word")
     n = len(word)
     a1 = word[0]
-    p = 1
-    for i in range(2, n):
-        b, d = word[i - p], word[i]
-        if b > d:
-            return a1
-        if b < d:
-            p = i
+    p = prenecklace_period(word[1:])
+    if not p:
+        return a1
     b = word[n - p] if n > 1 else 0
     c = b if b and n % p == 0 else b + 1  # c == k: none joins, a1 stays
     if a1 == c - 1:

@@ -6,10 +6,15 @@ functions that return words return tuples.  Only ``pack`` and
 are safe for unrestricted concurrent use.
 
 Terminology: a *necklace* is a word that is lexicographically <= every
-rotation of itself; the *period* of a word is the smallest p dividing its
-length such that the word is its length-p prefix repeated; an aperiodic
-necklace is a *Lyndon word*; the *weight* of a word is the sum of its
-symbols.
+rotation of itself, and a *prenecklace* is a prefix of one; the *period*
+of a word is the smallest p dividing its length such that the word is its
+length-p prefix repeated; an aperiodic necklace is a *Lyndon word*; the
+*weight* of a word is the sum of its symbols.
+
+One scan, ``prenecklace_period``, answers the necklace questions: the
+necklace test, the period (of the least rotation, found by Duval's
+factorization), and, in ``successor`` and ``ranking``, which symbols
+extend a word to a necklace.
 """
 
 from __future__ import annotations
@@ -45,61 +50,59 @@ def rotate(word: Sequence[int], j: int) -> Word:
     return tuple(word[j:]) + tuple(word[:j])
 
 
-def is_necklace(word: Sequence[int]) -> int | None:
-    """Return the period of ``word`` if it is a necklace, else None.
+def prenecklace_period(word: Sequence[int]) -> int:
+    """Period of the longest Lyndon prefix of ``word`` if ``word`` is a
+    prenecklace (a prefix of some necklace), else 0; 1 for the empty word.
 
-    Single left-to-right scan maintaining the period of the prefix read so
-    far; worst case O(n), with early exit at the first symbol that proves
-    some rotation is smaller, and no allocation.  ``ranking`` uses it to
-    filter candidates in its enumeration oracle.
+    One left-to-right scan (Duval 1983) keeps the period p of the prefix
+    read so far: a symbol equal to the one p back keeps p, a larger one
+    makes the whole prefix Lyndon, and a smaller one proves that no
+    necklace starts with the prefix.  By the fundamental theorem of
+    necklaces a prenecklace is a necklace iff p divides its length, and
+    appending c to a prenecklace keeps it one iff c >= word[-p].  Worst
+    case O(n), with early exit and no allocation.
     """
     p = 1
     for i in range(1, len(word)):
-        c = word[i - p]
-        d = word[i]
+        c, d = word[i - p], word[i]
         if c > d:
-            return None
+            return 0
         if c < d:
             p = i + 1
-    if len(word) % p:
-        return None
     return p
+
+
+def is_necklace(word: Sequence[int]) -> int | None:
+    """Return the period of ``word`` if it is a necklace, else None."""
+    p = prenecklace_period(word)
+    return p if p and len(word) % p == 0 else None
 
 
 def period(word: Sequence[int]) -> int:
     """Smallest p dividing len(word) with word == word[:p] * (len(word)//p).
 
-    Returns len(word) for aperiodic words.  Only divisor periods exist for
-    cyclic words, so candidates are checked in increasing divisor order.
+    Returns len(word) for aperiodic words and 0 for the empty word.  A
+    rotation has the same period, and a necklace's is its scan's.
     """
-    n = len(word)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and all(word[i] == word[i - p] for i in range(p, n)):
-            return p
-    return n
+    return prenecklace_period(least_rotation(word)) if word else 0
 
 
 def least_rotation(word: Sequence[int]) -> Word:
-    """Lexicographically smallest rotation of ``word`` (Booth's algorithm).
+    """Lexicographically smallest rotation of ``word``; always a necklace.
 
-    Runs in O(n) time; the result is always a necklace.
+    Duval's factorization of the doubled word into non-increasing Lyndon
+    words: the least rotation starts at the last factor that begins in the
+    first half.  O(n) time, no table.
     """
-    s = tuple(word)
-    n = len(s)
-    ss = s + s
-    f = [-1] * (2 * n)
-    start = 0
-    for j in range(1, 2 * n):
-        sj = ss[j]
-        i = f[j - start - 1]
-        while i != -1 and sj != ss[start + i + 1]:
-            if sj < ss[start + i + 1]:
-                start = j - i - 1
-            i = f[i]
-        if sj != ss[start + i + 1]:
-            if sj < ss[start]:
-                start = j
-            f[j - start] = -1
-        else:
-            f[j - start] = i + 1
+    ss = tuple(word) * 2
+    n = len(ss) // 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i  # ss[i:j] is a prenecklace of period j - k
+        while j < 2 * n and ss[k] <= ss[j]:
+            k = i if ss[k] < ss[j] else k + 1
+            j += 1
+        while i <= k:  # factors of length j - k, each Lyndon
+            i += j - k
     return ss[start:start + n]

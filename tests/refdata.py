@@ -10,10 +10,12 @@ and 52.  Tests treat them as frozen expected values.
 ``engine.verify`` is checked against: one dict from window value to its
 first position, O(L) memory.  ``weight_period_at_most_reference`` and
 ``derive_params_reference`` sum the period counts over every period, not
-only over the divisors of n.
+only over the divisors of n.  ``weight_at_most_reference`` is the
+inclusion-exclusion sum at every weight, with no complement.
 """
 
 from bisect import bisect_left
+from math import comb
 
 from cutdown.counting import count_weight_at_most, count_weight_period
 from cutdown.cutplan import CutParams
@@ -89,6 +91,14 @@ def verify_reference(seq, n, k, expected_len=None):
 
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
+
+
+def weight_at_most_reference(w, n, k):
+    """``counting.count_weight_at_most`` as one sum at every weight."""
+    if w < 0:
+        return 0
+    return sum((-1) ** j * comb(n, j) * comb(w - j * k + n, n)
+               for j in range(min(n, w // k) + 1))
 
 
 def weight_period_at_most_reference(w, p, n, k):

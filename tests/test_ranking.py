@@ -73,6 +73,19 @@ def test_enumerate_refuses_above_limit():
         enumerate_lyndon(10, 5, 2, limit=1000)
 
 
+def test_enumerate_validates_arguments_like_count_lyndon():
+    # these used to return [] or raise TypeError
+    for n, w, k in ((3, 1.5, 2), (3, 1, 1), (0, 0, 2), (3.0, 1, 2),
+                    (3, 1, 2.0), (-1, 0, 2), (3, 1, 0)):
+        with pytest.raises(ValueError):
+            count_lyndon(n, w, k)
+        with pytest.raises(ValueError):
+            enumerate_lyndon(n, w, k)
+    for w in (-1, 4, 10):
+        assert enumerate_lyndon(3, w, 2) == []
+    assert enumerate_lyndon(True, False, 2) == [(0,)]
+
+
 @pytest.mark.parametrize("n, k", [(n, 2) for n in range(1, 13)]
                          + [(5, 3), (4, 4), (3, 5)])
 def test_enumeration_matches_counts_and_order(n, k):

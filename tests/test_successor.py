@@ -177,6 +177,14 @@ def test_mc_step_raises_outside_any_set():
         mc_step((1, 1, 1), lambda w: False)
 
 
+def test_empty_word_has_no_successor():
+    # these used to raise IndexError
+    for call in (lambda: pcr3_alt((), 2), lambda: pcr3(()),
+                 lambda: mc_step((), lambda w: True, 3)):
+        with pytest.raises(ValueError, match="empty word"):
+            call()
+
+
 def test_mc_step_kary_picks_largest_member():
     # keep windows of weight <= 4: from 003 the natural branch to 033 is
     # blocked and the largest in-set symbol follows instead

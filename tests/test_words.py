@@ -9,6 +9,7 @@ from cutdown.words import (
     is_necklace,
     least_rotation,
     period,
+    prenecklace_period,
     rotate,
     weight,
 )
@@ -26,6 +27,51 @@ def brute_period(word):
         if n % p == 0 and word == word[:p] * (n // p):
             return p
     raise AssertionError("unreachable")
+
+
+def brute_is_lyndon(word):
+    return bool(word) and all(word < rotate(word, j)
+                              for j in range(1, len(word)))
+
+
+def brute_prenecklace_period(word, k):
+    # a prenecklace is a prefix of some necklace.  Padding one with k-1s
+    # keeps it a prenecklace until it turns Lyndon, which it then stays,
+    # unless it is all k-1; so word + (k-1)^n is a necklace exactly when
+    # word is a prenecklace.  One k-1 is too few: 010 + 1 is not Lyndon, and 0110 +
+    # 1 is no necklace.  The period is the length of the longest Lyndon
+    # prefix
+    if not word:
+        return 1
+    padded = word + (k - 1,) * len(word)
+    if padded != brute_least_rotation(padded):
+        return 0
+    return max(j for j in range(1, len(word) + 1)
+               if brute_is_lyndon(word[:j]))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_prenecklace_period_against_brute_force(k):
+    for n in range(10):
+        for word in product(range(k), repeat=n):
+            assert prenecklace_period(word) == brute_prenecklace_period(
+                word, k), word
+
+
+def test_empty_and_non_tuple_words():
+    assert prenecklace_period(()) == 1
+    assert is_necklace(()) == 1
+    assert period(()) == 0
+    assert least_rotation(()) == ()
+    assert least_rotation([]) == ()
+    for word in ([1, 0, 1, 0], "1010"):
+        assert prenecklace_period(word) == 0
+        assert is_necklace(word) is None
+        assert period(word) == 2
+        assert least_rotation(word) == tuple(word[1:] + word[:1])
+    assert prenecklace_period([0, 1, 1, 0]) == 3
+    assert is_necklace("0011") == 4
+    assert period([2, 2, 2]) == 1
 
 
 @pytest.mark.parametrize("text, expected", [
