@@ -9,10 +9,11 @@ inclusion-exclusion over the symbols that exceed k - 1:
     count_strings(n, w, k) = sum((-1)^j C(n, j) C(w - jk + n - 1, n - 1)
                                  for j in 0..min(n, w // k))
 
-and the words of weight at most w by the same sum over C(w - jk + n, n),
-or, above half the largest weight, as k^n less the words of weight at
-most (k-1)n - w - 1, which the complement c -> k-1-c maps onto those
-heavier than w.
+and the words of weight at most w by the same sum over C(w - jk + n, n).
+The complement c -> k-1-c keeps both sums short: above half the largest
+weight, words of weight w are counted as those of weight (k-1)n - w, and
+words of weight at most w as k^n less those of weight at most
+(k-1)n - w - 1, which the complement maps onto those heavier than w.
 Nothing is cached, so the module holds no state.  An argument that is not
 an int raises ValueError, as an n or k out of range does.
 """
@@ -39,6 +40,8 @@ def count_strings(n: int, w: int, k: int) -> int:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0 or w > (k - 1) * n:
         return 0
+    # the symbol complement c -> k-1-c keeps the sum below short
+    w = min(w, (k - 1) * n - w)
     return sum((-1) ** j * comb(n, j) * comb(w - j * k + n - 1, n - 1)
                for j in range(min(n, w // k) + 1))
 

@@ -14,16 +14,20 @@ rare steps that reach the weight cap or a marker.  Both loops yield
 blocks, 64 symbols first and then as many as all before, up to 8,192:
 ``_blocks`` runs the set-up and returns the loop, ``generate`` chains
 its blocks, and the command line writes them as they come.  The binary
-loop carries only the window and its marks.  It takes a new rotation
-class's marks from the necklace probe it has just tested, so the longest
-runs of 0s are found once per probe, not again at the class change, and
-marks every position at the few other class changes; only the k-ary loop
-calls ``_tail_starts``.  Both find runs by doubling: the starts of z-long
-runs, and-ed with themselves shifted by d <= z, are the starts of
-(z + d)-long runs.  So the probe finds the other runs as long as its
-leading z0 0s in about log2(z0) + 1 steps of O(n) bit work, not z0 - 1,
-and ``_tail_starts`` finds the longest run by doubling z and then adding
-halves.  The tests check both loops against the tuple rule exhaustively
+loop carries the window, its marks and the necklace of its rotation
+class.  It takes a new class's marks and necklace from the necklace probe
+it has just tested, so the longest runs of 0s are found once per probe,
+not again at the class change, and marks every position, necklace
+unknown, at the few other class changes; only the k-ary loop calls
+``_tail_starts``.  A class with several longest runs of 0s is marked only
+where the window turns into its necklace, at the multiples of its period,
+and a marked step that drops a 1 probes a rotation of the window, so
+where the necklace is known one comparison with it decides the step.
+Both loops find runs by doubling: the starts of z-long runs, and-ed with
+themselves shifted by d <= z, are the starts of (z + d)-long runs.  So
+the probe finds the other runs as long as its leading z0 0s in about
+log2(z0) + 1 steps of O(n) bit work, not z0 - 1, and ``_tail_starts``
+finds the longest run by doubling z and then adding halves.  The tests check both loops against the tuple rule exhaustively
 at small n and on random long runs, to n = 1024 at k = 2.
 
 ``verify`` checks the defining property directly: every length-n window of
@@ -161,10 +165,15 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # at other positions are plain rotations.  A class change after a
     # necklace probe lands on the probe or on the probe with its last 1
     # cleared, and _probe_class_mask takes the new marks from what the
-    # probe test found: its leading 0s (z0) and its other runs of as many
-    # (runs).  The start window and the rare other class changes mark every
-    # position: the all-0 window, the two windows after the all-1 probe,
-    # the rotations of a marker, where a redirect can fire at any step, and
+    # probe test found, its other runs of 0s as long as its leading ones
+    # (runs) and its period p, along with neck, the class's necklace.  A
+    # marked step that drops a 1 probes the window turned by one, so where
+    # neck is known it is one comparison; with several longest runs only
+    # the multiples of p are marked, as every other run start probes a
+    # rotation that is not the necklace.  The start window and the rare
+    # other class changes mark every position and leave neck unknown (0):
+    # the all-0 window, the two windows after the all-1 probe, the
+    # rotations of a marker, where a redirect can fire at any step, and
     # marker redirects after a failed probe.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
@@ -177,7 +186,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
               for r in markers for j in range(n)}
 
     alpha = start
-    cmask = mask
+    cmask, neck = mask, 0
     # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
     buf = bytearray()
     append = buf.append
@@ -203,7 +212,12 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             append(a1)
             shifted = (alpha << 1) & mask
             # p := period of probe = shifted|1 if it is a necklace, else 0
-            if shifted >> top:
+            if a1 and neck:
+                # the probe is the window turned by one, so a necklace iff
+                # it is the class necklace; with a1 = 1 only p's truth is
+                # read
+                p = shifted | 1 == neck
+            elif shifted >> top:
                 p = 1 if (shifted | 1) == mask else 0
             else:
                 probe = shifted | 1
@@ -243,9 +257,9 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             elif p and 0 < alpha <= low and alpha not in marked:
-                cmask = _probe_class_mask(alpha, z0, runs, n)
+                cmask, neck = _probe_class_mask(alpha, runs, p, n)
             else:
-                cmask = mask
+                cmask, neck = mask, 0
         yield buf.translate(_DIGITS)
         buf.clear()
 
@@ -286,22 +300,28 @@ def _tail_starts(least: int, n: int) -> int:
     return _split_run(z, n - runs.bit_length(), n)
 
 
-def _probe_class_mask(alpha: int, z0: int, runs: int, n: int) -> int:
-    # _tail_starts for a window alpha that the binary loop reaches from a
-    # necklace probe with z0 >= 1 leading 0s, whose other z0-long runs of
-    # 0s start at runs: alpha is the probe, or the probe with its last 1
-    # cleared.  A necklace begins with its longest run of 0s, so the
-    # probe's longest runs start at position 0 and at runs.  Clearing the
-    # last 1 joins it and the tz 0s before it to the leading run: a single
-    # longest run of z0 + tz 0s, from position n - tz.
+def _probe_class_mask(alpha: int, runs: int, p: int,
+                      n: int) -> tuple[int, int]:
+    # The marks and the necklace of the class of a window alpha that the
+    # binary loop reaches from a necklace probe of period p, whose leading
+    # z0 >= 1 0s recur at runs, the starts of its other z0-long runs:
+    # alpha is the probe, or the probe with its last 1 cleared.  A
+    # necklace begins with its longest run of 0s, so the probe's longest
+    # runs start at position 0 and at runs.  With several, every tail that
+    # can be a prenecklace starts at one of them and drops the 1 before
+    # it, so it is a rotation of the probe, and a necklace only where that
+    # rotation is the probe: at the multiples of p.  Clearing the last 1
+    # joins it and the tz 0s before it to the leading run: a single
+    # longest run of z0 + tz 0s, from position n - tz, where the necklace
+    # starts.  runs and p are read for the probe only.
+    z0 = n - alpha.bit_length()
     if alpha & 1:
         if runs:
-            return runs | 1 << (n - 1)
-        z, u = z0, 0
-    else:
-        tz = (alpha & -alpha).bit_length() - 1
-        z, u = z0 + tz, n - tz
-    return _split_run(z, u, n)
+            return ((1 << n) - 1) // ((1 << p) - 1) << (p - 1), alpha
+        return _split_run(z0, 0, n), alpha
+    tz = (alpha & -alpha).bit_length() - 1
+    neck = ((alpha << (n - tz)) & ((1 << n) - 1)) | (alpha >> tz)
+    return _split_run(z0 + tz, n - tz, n), neck
 
 
 def _split_run(z: int, u: int, n: int) -> int:

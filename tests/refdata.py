@@ -93,6 +93,14 @@ def verify_reference(seq, n, k, expected_len=None):
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
 
 
+def strings_reference(n, w, k):
+    """``counting.count_strings`` as one sum at every weight."""
+    if w < 0 or w > (k - 1) * n:
+        return 0
+    return sum((-1) ** j * comb(n, j) * comb(w - j * k + n - 1, n - 1)
+               for j in range(min(n, w // k) + 1))
+
+
 def weight_at_most_reference(w, n, k):
     """``counting.count_weight_at_most`` as one sum at every weight."""
     if w < 0:

@@ -16,7 +16,11 @@ from cutdown.counting import (
 )
 from cutdown.words import is_necklace, period
 
-from refdata import weight_at_most_reference, weight_period_at_most_reference
+from refdata import (
+    strings_reference,
+    weight_at_most_reference,
+    weight_period_at_most_reference,
+)
 
 
 def brute_by_weight(n, k):
@@ -137,6 +141,15 @@ def test_period_count_at_most_equals_the_sum_over_every_period(k):
                 assert (count_weight_period_at_most(w, p, n, k)
                         == weight_period_at_most_reference(w, p, n, k)), (
                     w, p, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_string_count_equals_the_sum_at_every_weight(k):
+    # above half the largest weight the count goes through the complement
+    for n in list(range(1, 41)) + [63, 64, 100]:
+        for w in range(-2, (k - 1) * n + 3):
+            assert count_strings(n, w, k) == strings_reference(n, w, k), (
+                w, n)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

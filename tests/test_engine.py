@@ -23,7 +23,7 @@ from cutdown.successor import (
     on_target_cycle,
     threshold_join,
 )
-from cutdown.words import is_necklace, least_rotation, pack
+from cutdown.words import is_necklace, least_rotation, pack, period
 
 from refdata import (
     CUT_N6_L46,
@@ -519,16 +519,21 @@ def test_full_length_window_sets_complete():
         assert len(windows) == k ** n
 
 
-def test_probe_class_mask_equals_tail_starts():
+def test_probe_class_marks_hold_every_necklace_probe():
     # every binary necklace probe to n = 14 (leading 0, last 1), and the
     # two windows a class change reaches from it: the probe and the probe
-    # with its last 1 cleared.  Marks beyond _tail_starts would cost only
-    # speed, so no output test would see them
+    # with its last 1 cleared.  A mark at position j stands for the step
+    # that drops position j - 1, whose probe is the window turned to start
+    # at j with its last symbol set to 1.  The marks lie within
+    # _tail_starts and hold every necklace probe; a marked step that drops
+    # a 1 probes a rotation of the window, so the loop decides it by one
+    # comparison with the class necklace, which must then be a necklace
     cases = 0
     for n in range(2, 15):
         full = (1 << n) - 1
         for probe in range(1, 1 << (n - 1), 2):
-            if not is_necklace([probe >> (n - 1 - j) & 1 for j in range(n)]):
+            bits = [probe >> (n - 1 - j) & 1 for j in range(n)]
+            if not is_necklace(bits):
                 continue
             z0 = n - probe.bit_length()
             zeros = full ^ probe
@@ -536,11 +541,22 @@ def test_probe_class_mask_equals_tail_starts():
             for j in range(1, z0):
                 runs &= ((zeros << j) & full) | (zeros >> (n - j))
             for alpha in (probe, probe - 1):
-                if alpha:
-                    cases += 1
-                    assert (engine._probe_class_mask(alpha, z0, runs, n)
-                            == engine._tail_starts(full ^ alpha, n)), (
-                        n, probe, alpha)
+                if not alpha:
+                    continue
+                cases += 1
+                marks, neck = engine._probe_class_mask(alpha, runs,
+                                                       period(bits), n)
+                window = [alpha >> (n - 1 - j) & 1 for j in range(n)]
+                assert neck == pack(least_rotation(window)), (n, alpha)
+                assert not marks & ~engine._tail_starts(full ^ alpha, n), (
+                    n, alpha)
+                for j in range(n):
+                    turned = window[j:] + window[:j]
+                    necklace = is_necklace(turned[:-1] + [1])
+                    marked = marks >> (n - 1 - j) & 1
+                    assert marked or not necklace, (n, alpha, j)
+                    assert necklace or not (marked and turned[-1]), (
+                        n, alpha, j)
     assert cases == 5161
 
 
@@ -579,7 +595,10 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     # probe, and the binary loop never calls _tail_starts.  The other
     # class changes mark every position: the all-0 window, the two windows
     # after the all-1 probe, and marker redirects, which fire at most once
-    # from each of the two windows before a marker
+    # from each of the two windows before a marker.  At n = 9, 12 and 16
+    # the loop enters classes with several longest runs of 0s and a period
+    # p < n, marked at the multiples of p only, and still follows the
+    # tuple rule
     def tail_starts(least, n):
         raise AssertionError("the binary loop called _tail_starts")
 
@@ -593,14 +612,22 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     monkeypatch.setattr(engine, "_probe_class_mask", counted)
     for n, L in ((9, 2 ** 9), (12, 3000), (13, 7168), (16, 40000),
                  (16, 2 ** 15 + 1)):
-        markers = cut_set(derive_params(n, 2, L).s, n).markers
+        params = derive_params(n, 2, L)
+        cuts = cut_set(params.s, n)
         for mode in ("counter", "successor"):
+            joins = (counter_join if mode == "counter"
+                     else threshold_join)(params)
             served.clear()
             seq = collect(SequenceSpec(n=n, k=2, L=L, mode=mode))
-            assert len(seq) == L
+            ref, _ = iterate(start_after_zero(params, cuts, joins),
+                             lambda w: kary_step(w, params, cuts, joins), L)
+            assert seq == ref, (n, L, mode)
             changes = sum(seq[t] != seq[(t + n) % L] for t in range(L))
-            assert changes - len(served) <= 4 + 2 * len(markers), (
+            assert changes - len(served) <= 4 + 2 * len(cuts.markers), (
                 n, L, mode, changes, len(served))
+            assert n == 13 or any(alpha & 1 and runs and p < n
+                                  for alpha, runs, p, _ in served), (
+                n, L, mode)
 
 
 # --- verify ---------------------------------------------------------------
