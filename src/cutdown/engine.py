@@ -7,13 +7,14 @@ both modes alike, and copy the runs of plain rotations between the steps
 where a window's tail can be a prenecklace: binary sequences run on packed
 integers (a machine word holds the window for n <= 63, a Python big int
 beyond), larger alphabets on a list holding the current block.  The k-ary
-loop carries the positions of the window's least symbol from step to
-step, decides ``pcr3_alt`` with list slice compares (calling it only when
-that symbol is just the dropped one), and hands ``kary_step`` only the
-rare steps that reach the weight cap or a marker.  Both loops yield
-blocks, 64 symbols first and then as many as all before, up to 8,192:
-``_blocks`` runs the set-up and returns the loop, ``generate`` chains
-its blocks, and the command line writes them as they come.  The binary
+loop reads each window in place in that list, carries the positions of
+the window's least symbol from step to step, decides ``pcr3_alt`` with
+list slice compares (by the window's weight alone when that symbol is
+just the dropped one), and hands ``kary_step`` only the rare steps that
+reach the weight cap or a marker.  Both loops yield blocks, 64 symbols
+first and then as many as all before, up to 8,192: ``_blocks`` runs the
+set-up and returns the loop, ``generate`` chains its blocks, and the
+command line writes them as they come.  The binary
 loop carries the window, its marks and the necklace of its rotation
 class.  It takes a new class's marks and necklace from the necklace probe
 it has just tested, so the longest runs of 0s are found once per probe,
@@ -27,8 +28,10 @@ Both loops find runs by doubling: the starts of z-long runs, and-ed with
 themselves shifted by d <= z, are the starts of (z + d)-long runs.  So
 the probe finds the other runs as long as its leading z0 0s in about
 log2(z0) + 1 steps of O(n) bit work, not z0 - 1, and ``_tail_starts``
-finds the longest run by doubling z and then adding halves.  The tests check both loops against the tuple rule exhaustively
-at small n and on random long runs, to n = 1024 at k = 2.
+finds the longest run by doubling z and then adding halves.
+
+The tests check both loops against the tuple rule exhaustively at small
+n and on random long runs, to n = 1024 at k = 2 and n = 256 at k = 3, 4.
 
 ``verify`` checks the defining property directly: every length-n window of
 the cyclic sequence occurs at most once, all symbols are in range, and the
@@ -41,9 +44,9 @@ windows in a dict instead, which takes more than 64 bytes an entry.
 Only the first n - 1 symbols are kept, for the windows that wrap around.
 A repeated window needs two more passes: a sequence (a list, range,
 bytes, array.array and the like) is read again in place, and any other
-iterable was pickled to a temporary file as it was read.  So verify holds the marks,
-one block and O(n) state, never the whole input, on the accepting and
-the rejecting path alike.
+iterable was pickled to a temporary file as it was read.  So verify
+holds the marks, one block and O(n) state, never the whole input, on the
+accepting and the rejecting path alike.
 
 The records here and in ``cutplan`` are named tuples, which import less
 than dataclasses do; each equals the plain tuple of its fields.
@@ -334,20 +337,26 @@ def _split_run(z: int, u: int, n: int) -> int:
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
-    # the window at step i is seq[i:i + n].  cmask (MSB = position 0) marks
-    # where _tail_starts says a tail can be a prenecklace of the window's
-    # least symbol v, and, as in _binary_symbols, the plain rotations
-    # between marks are copied as slices.  least, the positions
-    # of v, rotates with cmask; a step that changes a symbol updates it,
-    # rescanning only when the last v leaves.  A marked step runs pcr3_alt:
-    # the tail win[1:] is a prenecklace iff it starts with v and each later
-    # v starts a suffix no smaller than the tail's prefix of its length;
-    # the first equal one gives the period.  When v is only win[0] the step
-    # calls successor.pcr3_alt.  The symbol stands when it is the dropped
-    # one, or keeps the weight below m and lands on no marker; other steps,
-    # and all while the window is a rotation of a marker (hot), go to
-    # successor.kary_step.  Both are looked up on the module at every call,
-    # so a wrapper installed there sees each call.
+    # seq holds i + n symbols, so the window at step i is seq[i:], read in
+    # place.  cmask (MSB = position 0) marks where _tail_starts says a tail
+    # can be a prenecklace of the window's least symbol v, and, as in
+    # _binary_symbols, the plain rotations between marks are copied as
+    # slices.  least, the positions of v, rotates with cmask; a step that
+    # changes a symbol updates it, rescanning only when the last v leaves.
+    # A marked step runs pcr3_alt: the tail seq[i + 1:] is a prenecklace
+    # iff it starts with v and each later v starts a suffix no smaller than
+    # the tail's prefix of its length; the first equal one gives the
+    # period p.  When v is only the dropped symbol a1, every tail symbol is
+    # above v, and pcr3_alt changes a1 only if c = v + 1, so b = tail[-p]
+    # = v + 1, the tail's least symbol, and p divides n; b also ends the
+    # tail's Lyndon prefix, which it can only if p = 1.  So the window is
+    # v (v + 1)^(n - 1), the lightest such window, and a1 becomes k - 1.
+    # The symbol stands when it is the dropped one, or keeps the weight
+    # below m and lands on no marker (only a candidate of a marker's
+    # weight is compared); other steps, and all while the window is a
+    # rotation of a marker (hot), go to successor.kary_step.  Only
+    # kary_step is looked up on the module, at every call, so a wrapper
+    # installed there sees each call.
     n, k, L, m = params.n, params.k, params.L, params.m
     full = (1 << n) - 1
     top = n - 1
@@ -373,7 +382,9 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
         remaining -= block
         while block:
             c = cmask & low
-            q = min(top - c.bit_length() if c else top, block)
+            q = top - c.bit_length() if c else top
+            if q > block:
+                q = block
             if q:
                 seq += seq[i:i + q]
                 i += q
@@ -383,28 +394,28 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 if not block:
                     break
             block -= 1
-            win = seq[i:i + n]
-            a1 = win[0]
-            x = a1
+            a1 = x = seq[i]
             if not least & low:
-                x = successor.pcr3_alt(win, k)
-            elif win[1] == v:
+                if w == v + top * (v + 1):  # the window v (v + 1)^(n - 1)
+                    x = k - 1
+            elif seq[i + 1] == v:
                 p = top  # the period of the tail, or 0 if no prenecklace
                 later = least & (low >> 1)
                 while later:
                     b = later.bit_length()  # v at position n - b
                     later ^= 1 << (b - 1)
-                    suffix, prefix = win[n - b:], win[1:b + 1]
+                    suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
                     if suffix <= prefix:
                         p = top - b if suffix == prefix else 0
                         break
                 if p:
-                    b = win[n - p]
+                    b = seq[-p]
                     c = b if b and n % p == 0 else b + 1
                     x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
             if hot or x != a1 and (
-                    w - a1 + x >= m or win[1:] + [x] in markers):
-                x = successor.kary_step(tuple(win), params, cuts, joins)
+                    w - a1 + x >= m or w - a1 + x in marker_weights
+                    and seq[i + 1:] + [x] in markers):
+                x = successor.kary_step(tuple(seq[i:]), params, cuts, joins)
             seq.append(x)
             i += 1
             least = ((least << 1) & full) | (least >> top)
@@ -421,11 +432,8 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 if not least:
                     v, least = scan(seq[i:])
             hot = w in marker_weights and tuple(seq[i:]) in marked
-            if hot:
-                cmask = full
-            elif least in memo:
-                cmask = memo[least]
-            else:
+            cmask = full if hot else memo.get(least)
+            if cmask is None:
                 cmask = _tail_starts(least, n)
                 if len(memo) < 4096:
                     memo[least] = cmask

@@ -337,6 +337,38 @@ def test_packed_loop_equals_tuple_rule_at_wide_n(data):
         assert list(itertools.islice(generate(spec), 2000)) == ref
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_list_loop_equals_tuple_rule_at_wide_n(data):
+    # first 1000 symbols at k = 3 or 4, n = 96..256, past the k^n <= 2^64
+    # of the large-n test: counter runs from the default start, successor
+    # runs from a random on-cycle window of weight m - 1 and, as at k = 2,
+    # join above a drawn weight-m necklace in place of tau
+    k = data.draw(st.sampled_from([3, 4]), label="k")
+    n = data.draw(st.integers(96, 256), label="n")
+    L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
+    mode = data.draw(st.sampled_from(["counter", "successor"]), label="mode")
+    params = derive_params(n, k, L)
+    cuts = cut_set(params.s, n)
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    start, tau = None, None
+    if mode == "successor":
+        def word(w):
+            symbols = [0] * n
+            for slot in rng.sample(range(n * (k - 1)), w):
+                symbols[slot // (k - 1)] += 1
+            return tuple(symbols)
+        tau = pack(least_rotation(word(params.m)), k)
+        start = word(params.m - 1)
+        assume(on_target_cycle(start, params, cuts))
+    with mock.patch.object(successor, "_tau", lambda params: tau):
+        joins = (counter_join if mode == "counter" else threshold_join)(params)
+        ref, _ = iterate(start or start_after_zero(params, cuts, joins),
+                         lambda w: kary_step(w, params, cuts, joins), 1000)
+        spec = SequenceSpec(n=n, k=k, L=L, mode=mode, start=start)
+        assert list(itertools.islice(generate(spec), 1000)) == ref
+
+
 @pytest.mark.parametrize("k", [257, 300])
 def test_alphabets_beyond_a_byte(k):
     # symbols above 255 go through the list loop unchanged
@@ -387,6 +419,43 @@ def test_list_loop_class_changes_equal_the_tuple_rule(k, n):
                 elif x > win[0] == min(win) and win.count(win[0]) == 1:
                     kinds.add("leaves")
     assert kinds == {"enters", "leaves"}, kinds
+
+
+@pytest.mark.parametrize("k, n", [(3, 5), (4, 4)])
+def test_list_loop_hands_kary_step_only_cap_and_marker_steps(k, n,
+                                                            monkeypatch):
+    # every L, both modes: the loop calls kary_step only where the window
+    # is a rotation of a marker or pcr3_alt changes the symbol and reaches
+    # the weight cap or a marker (and at 0^n, for the default start and the
+    # splice after the all-0 marker), and it calls pcr3_alt only through
+    # kary_step
+    calls = {"kary_step": [], "pcr3_alt": 0}
+    step, alt = successor.kary_step, successor.pcr3_alt
+
+    def counted_step(word, *args):
+        calls["kary_step"].append(word)
+        return step(word, *args)
+
+    def counted_alt(word, k):
+        calls["pcr3_alt"] += 1
+        return alt(word, k)
+
+    monkeypatch.setattr(successor, "kary_step", counted_step)
+    monkeypatch.setattr(successor, "pcr3_alt", counted_alt)
+    for L in range(k ** (n - 1) + 1, k ** n + 1):
+        params = derive_params(n, k, L)
+        cuts = cut_set(params.s, n)
+        hot = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+        for mode in ("counter", "successor"):
+            calls["kary_step"], calls["pcr3_alt"] = [], 0
+            collect(SequenceSpec(n=n, k=k, L=L, mode=mode))
+            assert calls["pcr3_alt"] == len(calls["kary_step"]), (L, mode)
+            for word in calls["kary_step"]:
+                x = alt(word, k)
+                cand = word[1:] + (x,)
+                assert (word in hot or not any(word) or x != word[0] and (
+                    sum(cand) >= params.m or cand in cuts.markers)), (
+                    L, mode, word)
 
 
 # --- k-ary successor mode --------------------------------------------------

@@ -125,6 +125,20 @@ def test_pcr3_alt_matches_definition_at_large_n(data):
     assert pcr3_alt(word, k) == pcr3_alt_by_probes(word, k)
 
 
+@pytest.mark.parametrize("k, nmax", [(2, 12), (3, 8), (4, 6), (5, 5),
+                                     (6, 4)])
+def test_pcr3_alt_when_the_first_symbol_is_the_unique_least(k, nmax):
+    # the closed form engine's k-ary loop uses: with every tail symbol above
+    # v = word[0], pcr3_alt changes the symbol only at v (v + 1)^(n - 1),
+    # and to k - 1
+    for n in range(2, nmax + 1):
+        for v in range(k - 1):
+            for tail in product(range(v + 1, k), repeat=n - 1):
+                x = pcr3_alt((v,) + tail, k)
+                assert (x != v) == (tail == (v + 1,) * (n - 1)), (v, tail)
+                assert x in (v, k - 1), (v, tail)
+
+
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (4, 3), (5, 3),
                                   (2, 4), (3, 4), (4, 4),
                                   (2, 5), (3, 5), (2, 6), (3, 6),
