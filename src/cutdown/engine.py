@@ -16,14 +16,15 @@ first and then as many as all before, up to 8,192: ``_blocks`` runs the
 set-up and returns the loop, ``generate`` chains its blocks, and the
 command line writes them as they come.  The binary
 loop carries the window, its marks and the necklace of its rotation
-class.  It takes a new class's marks and necklace from the necklace probe
-it has just tested, so the longest runs of 0s are found once per probe,
-not again at the class change, and marks every position, necklace
-unknown, at the few other class changes; only the k-ary loop calls
-``_tail_starts``.  A class with several longest runs of 0s is marked only
-where the window turns into its necklace, at the multiples of its period,
-and a marked step that drops a 1 probes a rotation of the window, so
-where the necklace is known one comparison with it decides the step.
+class.  It computes a new class's marks and necklace inline, from the
+necklace probe it has just tested, so the longest runs of 0s are found
+once per probe, not again at the class change, and marks every position,
+necklace unknown, at the few other class changes; only the k-ary loop
+calls ``_tail_starts``.  A class with several longest runs of 0s is
+marked only where the window turns into its necklace, at the multiples of
+its period, and a marked step that drops a 1 probes a rotation of the
+window, so where the necklace is known one comparison with it decides the
+step.
 Both loops find runs by doubling: the starts of z-long runs, and-ed with
 themselves shifted by d <= z, are the starts of (z + d)-long runs.  So
 the probe finds the other runs as long as its leading z0 0s in about
@@ -44,9 +45,10 @@ windows in a dict instead, which takes more than 64 bytes an entry.
 Only the first n - 1 symbols are kept, for the windows that wrap around.
 A repeated window needs two more passes: a sequence (a list, range,
 bytes, array.array and the like) is read again in place, and any other
-iterable was pickled to a temporary file as it was read.  So verify
-holds the marks, one block and O(n) state, never the whole input, on the
-accepting and the rejecting path alike.
+iterable was pickled to a temporary file as it was read, a block of 0s
+and 1s at 8 symbols a byte.  So verify holds the marks, one block and
+O(n) state, never the whole input, on the accepting and the rejecting
+path alike.
 
 The records here and in ``cutplan`` are named tuples, which import less
 than dataclasses do; each equals the plain tuple of its fields.
@@ -67,6 +69,7 @@ _CHUNK = 8192
 # as it fills, a block then stays small beside even a 64 KiB table
 _PIECE = 1024
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class SequenceSpec(namedtuple("SequenceSpec", "n k L mode start")):
@@ -154,8 +157,8 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # equal one gives the period the guards need.  Those rotations start
     # where the other z0-long runs do, which the probe finds by doubling:
     # at large n the opening stretch's probes lead with hundreds of 0s.
-    # The search stays inline, as a helper call per probe would cost a few
-    # percent.
+    # The search stays inline, and so does the class change below, as a
+    # helper call per probe or per class change would cost a few percent.
     #
     # Only a necklace probe that adds a 1 can reach the weight cap, so only
     # that step counts the window's weight.
@@ -167,9 +170,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # cmask holds marks that cover those positions, MSB = position 0; steps
     # at other positions are plain rotations.  A class change after a
     # necklace probe lands on the probe or on the probe with its last 1
-    # cleared, and _probe_class_mask takes the new marks from what the
-    # probe test found, its other runs of 0s as long as its leading ones
-    # (runs) and its period p, along with neck, the class's necklace.  A
+    # cleared, and takes the new marks and neck, the class's necklace, from
+    # what the probe test found: its other runs of 0s as long as its
+    # leading ones (runs) and its period p.  A single longest run of z is
+    # marked at its first (z + 1) // 2 + 1 positions
+    # (probe_class_mask_reference in tests/refdata.py spells it out).  A
     # marked step that drops a 1 probes the window turned by one, so where
     # neck is known it is one comparison; with several longest runs only
     # the multiples of p are marked, as every other run start probes a
@@ -202,7 +207,9 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
         remaining -= block
         while block:
             c = cmask & low
-            q = min(top - c.bit_length() if c else top, block)
+            q = top - c.bit_length() if c else top
+            if q > block:
+                q = block
             if q:
                 buf += bin((alpha >> (n - q)) | (1 << q))[3:].encode()
                 alpha = ((alpha << q) & mask) | (alpha >> (n - q))
@@ -260,7 +267,25 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             elif p and 0 < alpha <= low and alpha not in marked:
-                cmask, neck = _probe_class_mask(alpha, runs, p, n)
+                # alpha is the probe or the probe with its last 1 cleared
+                if alpha & 1:
+                    # the multiples of p, or the first c + 1 positions of a
+                    # single longest run, the leading one
+                    neck = alpha
+                    if runs:
+                        cmask = mask // ((1 << p) - 1) << (p - 1)
+                    else:
+                        c = (n - alpha.bit_length() + 1) >> 1
+                        cmask = ((2 << c) - 1) << (top - c)
+                else:
+                    # clearing the last 1 joins the tz 0s before it to the
+                    # leading run: one longest run, from n - tz, where the
+                    # necklace starts
+                    tz = (alpha & -alpha).bit_length() - 1
+                    neck = ((alpha << (n - tz)) & mask) | (alpha >> tz)
+                    c = (n - alpha.bit_length() + tz + 1) >> 1
+                    span = ((2 << c) - 1) << (top - c)
+                    cmask = ((span << tz) & mask) | (span >> (n - tz))
             else:
                 cmask, neck = mask, 0
         yield buf.translate(_DIGITS)
@@ -300,38 +325,12 @@ def _tail_starts(least: int, n: int) -> int:
             runs, z = longer, z + d
     if runs & (runs - 1):
         return runs
-    return _split_run(z, n - runs.bit_length(), n)
-
-
-def _probe_class_mask(alpha: int, runs: int, p: int,
-                      n: int) -> tuple[int, int]:
-    # The marks and the necklace of the class of a window alpha that the
-    # binary loop reaches from a necklace probe of period p, whose leading
-    # z0 >= 1 0s recur at runs, the starts of its other z0-long runs:
-    # alpha is the probe, or the probe with its last 1 cleared.  A
-    # necklace begins with its longest run of 0s, so the probe's longest
-    # runs start at position 0 and at runs.  With several, every tail that
-    # can be a prenecklace starts at one of them and drops the 1 before
-    # it, so it is a rotation of the probe, and a necklace only where that
-    # rotation is the probe: at the multiples of p.  Clearing the last 1
-    # joins it and the tz 0s before it to the leading run: a single
-    # longest run of z0 + tz 0s, from position n - tz, where the necklace
-    # starts.  runs and p are read for the probe only.
-    z0 = n - alpha.bit_length()
-    if alpha & 1:
-        if runs:
-            return ((1 << n) - 1) // ((1 << p) - 1) << (p - 1), alpha
-        return _split_run(z0, 0, n), alpha
-    tz = (alpha & -alpha).bit_length() - 1
-    neck = ((alpha << (n - tz)) & ((1 << n) - 1)) | (alpha >> tz)
-    return _split_run(z0 + tz, n - tz, n), neck
-
-
-def _split_run(z: int, u: int, n: int) -> int:
-    # the first (z + 1) // 2 + 1 positions of a z-long run from position u
+    # a single longest run of z from position u: its first (z + 1) // 2 + 1
+    # positions
     c = (z + 1) // 2
+    u = n - runs.bit_length()
     span = ((2 << c) - 1) << (n - 1 - c)  # positions 0..c
-    return ((span >> u) | (span << (n - u))) & ((1 << n) - 1)
+    return ((span >> u) | (span << (n - u))) & full
 
 
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
@@ -455,8 +454,9 @@ class _Blocks:
 class _Spool:
     """The blocks of an iterator, pickled to ``file`` as they are read, so
     that every iteration after the first replays them and then reads on.
-    A block whose symbols all fit in a byte is written as bytes, any other
-    as it is."""
+    A block of 0s and 1s is written as an int, 8 symbols a byte: its bits
+    after a leading 1, which keeps the length.  Any other block whose
+    symbols all fit in a byte is written as bytes, any other as it is."""
 
     def __init__(self, blocks: Iterator[Sequence[int]], file) -> None:
         self._blocks = blocks
@@ -469,14 +469,20 @@ class _Spool:
         end = file.seek(0, 2)
         file.seek(0)
         while file.tell() < end:
-            yield pickle.load(file)
+            data = pickle.load(file)
+            if isinstance(data, int):
+                data = bin(data)[3:].encode().translate(_DIGITS)
+            yield data
         for block in self._blocks:
             try:
-                data: Sequence[int] = bytes(block)
+                data: Sequence[int] | int = bytes(block)
             except ValueError:  # a symbol outside [0, 256)
                 data = block
             except TypeError:
                 raise _not_ints() from None
+            else:
+                if data and not data.translate(None, b"\x00\x01"):
+                    data = int(b"1" + data.translate(_BITS), 2)
             pickle.dump(data, file)
             yield block
 
@@ -489,9 +495,10 @@ def verify(seq: Iterable[int], n: int, k: int,
     pairwise distinct and every symbol must lie in [0, k).  A sequence
     (a list, tuple, range, bytes, array.array and the like) is read in
     place as one block; any other iterable is read in blocks of 1024
-    symbols and pickled to a temporary file, which the rejecting path
-    reads again.  Windows are marked in a table of k^n bytes, or in a dict
-    when the input has fewer than k^n / 64 symbols.
+    symbols and pickled to a temporary file, 8 symbols a byte where they
+    are all 0 or 1, which the rejecting path reads again.  Windows are
+    marked in a table of k^n bytes, or in a dict when the input has fewer
+    than k^n / 64 symbols.
     Failures are reported, not raised; n or k not an int, n < 1, k < 2,
     expected_len neither None nor an int, an empty input or a symbol that
     is not an int raises ValueError.

@@ -12,6 +12,8 @@ first position, O(L) memory.  ``weight_period_at_most_reference`` and
 ``derive_params_reference`` sum the period counts over every period, not
 only over the divisors of n.  ``weight_at_most_reference`` is the
 inclusion-exclusion sum at every weight, with no complement.
+``probe_class_mask_reference`` is the class change that
+``engine._binary_symbols`` computes inline after a necklace probe.
 """
 
 from bisect import bisect_left
@@ -127,3 +129,37 @@ def derive_params_reference(n, k, L):
     base = below + weight_period_at_most_reference(m, h - 1, n, k)
     t = -((base - L) // h)
     return CutParams(n=n, k=k, L=L, m=m, h=h, t=t, s=base + t * h - L)
+
+
+def probe_class_mask_reference(alpha, runs, p, n):
+    """The marks and the necklace of the class of a binary window alpha
+    (MSB = position 0) that ``engine._binary_symbols`` reaches from a
+    necklace probe of period p, whose leading z0 >= 1 0s recur at runs,
+    the starts of its other z0-long runs: alpha is the probe, or the probe
+    with its last 1 cleared.
+
+    A necklace begins with its longest run of 0s, so the probe's longest
+    runs start at position 0 and at runs.  With several, every tail that
+    can be a prenecklace starts at one of them and drops the 1 before it,
+    so it is a rotation of the probe, and a necklace only where that
+    rotation is the probe: at the multiples of p.  With a single longest
+    run of z from position u, the marks are that run's first
+    (z + 1) // 2 + 1 positions.  Clearing the last 1 joins it and the tz
+    0s before it to the leading run: a single longest run of z0 + tz 0s,
+    from position n - tz, where the necklace starts.  runs and p are read
+    for the probe only."""
+    full = (1 << n) - 1
+
+    def split_run(z, u):
+        c = (z + 1) // 2
+        span = ((2 << c) - 1) << (n - 1 - c)  # positions 0..c
+        return ((span >> u) | (span << (n - u))) & full
+
+    z0 = n - alpha.bit_length()
+    if alpha & 1:
+        if runs:
+            return full // ((1 << p) - 1) << (p - 1), alpha
+        return split_run(z0, 0), alpha
+    tz = (alpha & -alpha).bit_length() - 1
+    neck = ((alpha << (n - tz)) & full) | (alpha >> tz)
+    return split_run(z0 + tz, n - tz), neck

@@ -1,8 +1,11 @@
 """Generation engine and verifier."""
 
+import contextlib
 import hashlib
+import inspect
 import itertools
 import pickle
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -31,6 +34,7 @@ from refdata import (
     DB_N3_K4,
     DB_N6_K2,
     iterate,
+    probe_class_mask_reference,
     to_symbols,
     verify_reference,
 )
@@ -613,8 +617,8 @@ def test_probe_class_marks_hold_every_necklace_probe():
                 if not alpha:
                     continue
                 cases += 1
-                marks, neck = engine._probe_class_mask(alpha, runs,
-                                                       period(bits), n)
+                marks, neck = probe_class_mask_reference(alpha, runs,
+                                                         period(bits), n)
                 window = [alpha >> (n - 1 - j) & 1 for j in range(n)]
                 assert neck == pack(least_rotation(window)), (n, alpha)
                 assert not marks & ~engine._tail_starts(full ^ alpha, n), (
@@ -660,25 +664,50 @@ def test_tail_starts_equals_the_reference():
 
 
 def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
-    # a class change after a necklace probe takes its marks from the
-    # probe, and the binary loop never calls _tail_starts.  The other
-    # class changes mark every position: the all-0 window, the two windows
-    # after the all-1 probe, and marker redirects, which fire at most once
-    # from each of the two windows before a marker.  At n = 9, 12 and 16
-    # the loop enters classes with several longest runs of 0s and a period
-    # p < n, marked at the multiples of p only, and still follows the
-    # tuple rule
+    # a class change after a necklace probe takes its marks and necklace
+    # from the probe, in a block inline in the binary loop, and the loop
+    # never calls _tail_starts.  A tracer on the loop's frame reads
+    # (alpha, runs, p) where that block starts and (cmask, neck) where it
+    # ends, and each pair must be probe_class_mask_reference's; it counts
+    # the other class changes, which mark every position: the all-0
+    # window, the two windows after the all-1 probe, and marker redirects,
+    # which fire at most once from each of the two windows before a
+    # marker.  At n = 9, 12 and 16 the loop enters classes with several
+    # longest runs of 0s and a period p < n, marked at the multiples of p
+    # only, and still follows the tuple rule
     def tail_starts(least, n):
         raise AssertionError("the binary loop called _tail_starts")
 
-    def counted(*args):
-        served.append(args)
-        return probe_class_mask(*args)
-
-    served = []
-    probe_class_mask = engine._probe_class_mask
     monkeypatch.setattr(engine, "_tail_starts", tail_starts)
-    monkeypatch.setattr(engine, "_probe_class_mask", counted)
+    code = engine._binary_symbols.__code__
+    # the block runs from the line after its elif to the else: before the
+    # fallback, which has no line event of its own
+    lines, first = inspect.getsourcelines(engine._binary_symbols)
+    text = [line.strip() for line in lines]
+    enter = text.index("elif p and 0 < alpha <= low and alpha not in marked:")
+    fallback = text.index("cmask, neck = mask, 0", enter)
+    assert text[fallback - 1] == "else:"
+    enter += first
+    fallback += first
+    served, fallbacks = [], []
+
+    def trace_line(frame, event, arg):
+        if event != "line":
+            return trace_line
+        if enter < frame.f_lineno < fallback:
+            if not served or len(served[-1]) == 2:
+                f = frame.f_locals
+                served.append([(f["alpha"], f["runs"], f["p"], f["n"])])
+        elif served and len(served[-1]) == 1:
+            f = frame.f_locals
+            served[-1].append((f["cmask"], f["neck"]))
+        elif frame.f_lineno == fallback:
+            fallbacks.append(frame.f_locals["alpha"])
+        return trace_line
+
+    def trace_call(frame, event, arg):
+        return trace_line if frame.f_code is code else None
+
     for n, L in ((9, 2 ** 9), (12, 3000), (13, 7168), (16, 40000),
                  (16, 2 ** 15 + 1)):
         params = derive_params(n, 2, L)
@@ -687,15 +716,25 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
             joins = (counter_join if mode == "counter"
                      else threshold_join)(params)
             served.clear()
-            seq = collect(SequenceSpec(n=n, k=2, L=L, mode=mode))
+            fallbacks.clear()
+            before = sys.gettrace()
+            sys.settrace(trace_call)
+            try:
+                seq = collect(SequenceSpec(n=n, k=2, L=L, mode=mode))
+            finally:
+                sys.settrace(before)
             ref, _ = iterate(start_after_zero(params, cuts, joins),
                              lambda w: kary_step(w, params, cuts, joins), L)
             assert seq == ref, (n, L, mode)
+            for args, got in served:
+                assert got == probe_class_mask_reference(*args), (
+                    n, L, mode, args, got)
             changes = sum(seq[t] != seq[(t + n) % L] for t in range(L))
+            assert changes == len(served) + len(fallbacks), (n, L, mode)
             assert changes - len(served) <= 4 + 2 * len(cuts.markers), (
                 n, L, mode, changes, len(served))
             assert n == 13 or any(alpha & 1 and runs and p < n
-                                  for alpha, runs, p, _ in served), (
+                                  for (alpha, runs, p, _), _ in served), (
                 n, L, mode)
 
 
@@ -922,3 +961,36 @@ def test_verify_memory_is_bounded_by_the_table():
     assert reports[3] == reports[1]
     assert not reports[1].ok and reports[1].first_duplicate is not None
     assert max(peaks) < 2 * 2 ** n, peaks
+
+
+def test_verify_spools_a_binary_stream_at_8_symbols_a_byte(monkeypatch):
+    # a stream of 0s and 1s is spooled at 8 symbols a byte, with its
+    # length: an accepted full n = 16 sequence fills at most L / 8 bytes
+    # and 16 more a 1024-symbol block, for pickle's framing.  A rejected
+    # one is read back from that spool, and a k = 3 stream whose blocks
+    # mix the packed form with bytes is too, ending in a short block
+    sizes = []
+    temporary_file = tempfile.TemporaryFile
+
+    @contextlib.contextmanager
+    def measured(*args, **kwargs):
+        with temporary_file(*args, **kwargs) as file:
+            yield file
+            sizes.append(file.seek(0, 2))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", measured)
+    n = 16
+    L = 2 ** n
+    assert verify(generate(SequenceSpec(n=n, k=2, L=L)), n, 2,
+                  expected_len=L).ok
+    assert sizes == [sizes[0]] and 0 < sizes[0] <= L // 8 + 16 * L // 1024, (
+        sizes)
+    seq = collect(SequenceSpec(n=12, k=2, L=3000))
+    for t in (0, 1500, 2999):
+        bad = seq[:t] + [1 - seq[t]] + seq[t + 1:]
+        report = verify(iter(bad), 12, 2)
+        assert report == verify(bad, 12, 2), t
+        assert report.first_duplicate is not None, t
+    mixed = seq[:2048] + [2] + seq[:700]
+    assert verify(iter(mixed), 12, 3) == verify_reference(mixed, 12, 3)
+    assert not verify(iter(mixed), 12, 3).ok
