@@ -1,54 +1,18 @@
-"""Drive the cut-down rules to stream a sequence; verify candidates.
+"""Stream cut-down sequences and verify candidates.
 
-``generate`` returns a lazy iterator of symbols and keeps only O(n) state,
-so arbitrarily long sequences stream without being materialized.  A mode
-picks only the join decision.  Two loops implement ``successor.kary_step``,
-both modes alike, and copy the runs of plain rotations between the steps
-where a window's tail can be a prenecklace: binary sequences run on packed
-integers (a machine word holds the window for n <= 63, a Python big int
-beyond), larger alphabets on a list holding the current block.  The k-ary
-loop reads each window in place in that list, carries the positions of
-the window's least symbol from step to step, decides ``pcr3_alt`` with
-list slice compares (by the window's weight alone when that symbol is
-just the dropped one), and hands ``kary_step`` only the rare steps that
-reach the weight cap or a marker.  Both loops yield blocks, 64 symbols
-first and then as many as all before, up to 8,192: ``_blocks`` runs the
-set-up and returns the loop, ``generate`` chains its blocks, and the
-command line writes them as they come.  The binary
-loop carries the window, its marks and the necklace of its rotation
-class.  It computes a new class's marks and necklace inline, from the
-necklace probe it has just tested, so the longest runs of 0s are found
-once per probe, not again at the class change, and marks every position,
-necklace unknown, at the few other class changes; only the k-ary loop
-calls ``_tail_starts``.  A class with several longest runs of 0s is
-marked only where the window turns into its necklace, at the multiples of
-its period, and a marked step that drops a 1 probes a rotation of the
-window, so where the necklace is known one comparison with it decides the
-step.
-Both loops find runs by doubling: the starts of z-long runs, and-ed with
-themselves shifted by d <= z, are the starts of (z + d)-long runs.  So
-the probe finds the other runs as long as its leading z0 0s in about
-log2(z0) + 1 steps of O(n) bit work, not z0 - 1, and ``_tail_starts``
-finds the longest run by doubling z and then adding halves.
+``generate``, ``verify`` and their records ``SequenceSpec`` and
+``VerifyReport`` are the public part.  Two loops stand behind
+``generate``, each ``successor.kary_step`` with the plain rotations
+between the steps that can change a window's class copied in runs:
+``_binary_symbols`` at k = 2, on packed ints (one machine word for
+n <= 63, a big int beyond), and ``_list_symbols`` with ``_tail_starts``
+for larger k.  README "How it works" explains both.
 
-The tests check both loops against the tuple rule exhaustively at small
-n and on random long runs, to n = 1024 at k = 2 and n = 256 at k = 3, 4.
-
-``verify`` checks the defining property directly: every length-n window of
-the cyclic sequence occurs at most once, all symbols are in range, and the
-length matches when a target is given.  It reads its input in blocks, in
-one pass that range-checks each block: windows are rolling base-k
-integers, carried across block ends, marked in a table of k^n bytes.
-That is at most 64 bytes per symbol, and less than k for every cut-down
-length at k <= 64: an input with fewer than k^n / 64 symbols marks its
-windows in a dict instead, which takes more than 64 bytes an entry.
-Only the first n - 1 symbols are kept, for the windows that wrap around.
-A repeated window needs two more passes: a sequence (a list, range,
-bytes, array.array and the like) is read again in place, and any other
-iterable was pickled to a temporary file as it was read, a block of 0s
-and 1s at 8 symbols a byte.  So verify holds the marks, one block and
-O(n) state, never the whole input, on the accepting and the rejecting
-path alike.
+``verify``'s marking loop holds only the rolling window value and its
+mark: at n = 22 on Python 3.11 a test for a repeat on every symbol, or
+marking through a generator such as ``_window_values``, made it 15-26%
+slower.  So a repeat is looked for only when the marks count fewer
+distinct windows than symbols, in two more passes.
 
 The records here and in ``cutplan`` are named tuples, which import less
 than dataclasses do; each equals the plain tuple of its fields.
@@ -268,19 +232,16 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             elif p and 0 < alpha <= low and alpha not in marked:
                 # alpha is the probe or the probe with its last 1 cleared
-                if alpha & 1:
-                    # the multiples of p, or the first c + 1 positions of a
-                    # single longest run, the leading one
+                if alpha & 1 and runs:
+                    # the probe, with several longest runs: the multiples
+                    # of p
                     neck = alpha
-                    if runs:
-                        cmask = mask // ((1 << p) - 1) << (p - 1)
-                    else:
-                        c = (n - alpha.bit_length() + 1) >> 1
-                        cmask = ((2 << c) - 1) << (top - c)
+                    cmask = mask // ((1 << p) - 1) << (p - 1)
                 else:
-                    # clearing the last 1 joins the tz 0s before it to the
-                    # leading run: one longest run, from n - tz, where the
-                    # necklace starts
+                    # one longest run, whose first c + 1 positions are
+                    # marked.  Clearing the last 1 joins the tz 0s before
+                    # it to the leading run, so the run and the necklace
+                    # start at n - tz; the probe itself has tz = 0
                     tz = (alpha & -alpha).bit_length() - 1
                     neck = ((alpha << (n - tz)) & mask) | (alpha >> tz)
                     c = (n - alpha.bit_length() + tz + 1) >> 1
@@ -492,13 +453,15 @@ def verify(seq: Iterable[int], n: int, k: int,
     """Check that ``seq`` is a valid cut-down sequence body for (n, k).
 
     All len(seq) cyclic length-n windows (including wraparound) must be
-    pairwise distinct and every symbol must lie in [0, k).  A sequence
-    (a list, tuple, range, bytes, array.array and the like) is read in
-    place as one block; any other iterable is read in blocks of 1024
-    symbols and pickled to a temporary file, 8 symbols a byte where they
-    are all 0 or 1, which the rejecting path reads again.  Windows are
-    marked in a table of k^n bytes, or in a dict when the input has fewer
-    than k^n / 64 symbols.
+    pairwise distinct and every symbol must lie in [0, k).  One pass marks
+    the windows, in a table of k^n bytes or, when the input has fewer
+    than k^n / 64 symbols, in a dict, and records the first symbol out of
+    range, which then decides the report.  Otherwise a repeated window
+    takes two more passes, to find it and where it first occurred.  A
+    sequence (a list, tuple, range, bytes, array.array and the like) is
+    read in place as one block; any other iterable is read in blocks of
+    1024 symbols and pickled to a temporary file for those passes, 8
+    symbols a byte where they are all 0 or 1.
     Failures are reported, not raised; n or k not an int, n < 1, k < 2,
     expected_len neither None nor an int, an empty input or a symbol that
     is not an int raises ValueError.
@@ -539,23 +502,23 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         raise ValueError("empty sequence")
     seen: dict[int, int] | bytearray = (
         bytearray(size) if length * 64 >= size else {})
-    # one pass range-checks every block and marks its windows.  A symbol
-    # that is not an int raises TypeError in the range check or the table,
-    # or leaves value a non-int (a float, say) for the rest of its block,
-    # which the dict would take, so value is checked once a block.
+    # One pass marks every window and records the first symbol outside
+    # [0, k) in bad; % size keeps the windows of later ones in the table.
+    # A symbol that is not an int raises TypeError in the range check or
+    # the table, or leaves value a non-int (a float, say) for the rest of
+    # its block, which the dict would take, so value is checked once a
+    # block.
     head: list[int] = []  # the first n - 1 symbols, for the wraparound
-    value = length = 0
-    rest = iter(blocks)
-    for block in rest:
+    value = length = bad = 0
+    for block in blocks:
         try:
-            if block and (min(block) < 0 or max(block) >= k):
-                return _out_of_range(block, k, length, rest)
+            if not bad and block and (min(block) < 0 or max(block) >= k):
+                bad = length + next(i for i, c in enumerate(block, 1)
+                                    if not 0 <= c < k)
             symbols = iter(block)
             if len(head) < n - 1:
                 head += islice(symbols, n - 1 - len(head))
-                value = 0
-                for c in head:
-                    value = value * k + c
+                value = pack(head, k)
             for c in symbols:
                 value = (value * k + c) % size
                 seen[value] = 1
@@ -564,12 +527,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         if not isinstance(value, int):
             raise _not_ints()
         length += len(block)
-    # the windows that wrap around; an input shorter than n - 1 wraps
-    # repeatedly, as in _window_values
-    for j in range(n - 1):
-        value = (value * k + head[j % len(head)]) % size
-        if len(head) + j >= n - 1:
-            seen[value] = 1
+    if bad:
+        return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
+    for value in _wraparound(value, head, n, k):
+        seen[value] = 1
     distinct = len(seen) if isinstance(seen, dict) else seen.count(1)
 
     # fewer distinct windows than symbols: two more passes find the first
@@ -589,24 +550,9 @@ def _not_ints() -> ValueError:
     return ValueError("symbols must be ints")
 
 
-def _out_of_range(block: Sequence[int], k: int, before: int,
-                  rest: Iterator[Sequence[int]]) -> VerifyReport:
-    # the first symbol of block outside [0, k).  Every symbol from block on
-    # is counted and, as in a sequence read in place in one block, checked
-    # to be an int.
-    length = before
-    for piece in chain((block,), rest):
-        if not all(isinstance(c, int) for c in piece):
-            raise _not_ints()
-        length += len(piece)
-    bad = next(i for i, c in enumerate(block, before + 1) if not 0 <= c < k)
-    return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
-
-
 def _window_values(blocks: Iterable[Sequence[int]], n: int,
                    k: int) -> Iterator[int]:
-    # base-k values of the cyclic windows at positions 1, 2, ..., L; an
-    # input shorter than n - 1 wraps repeatedly
+    # base-k values of the cyclic windows at positions 1, 2, ..., L
     size = k ** n
     head: list[int] = []
     value = 0
@@ -614,12 +560,18 @@ def _window_values(blocks: Iterable[Sequence[int]], n: int,
         symbols = iter(block)
         if len(head) < n - 1:
             head += islice(symbols, n - 1 - len(head))
-            value = 0
-            for c in head:
-                value = value * k + c
+            value = pack(head, k)
         for c in symbols:
             value = (value * k + c) % size
             yield value
+    yield from _wraparound(value, head, n, k)
+
+
+def _wraparound(value: int, head: list[int], n: int,
+                k: int) -> Iterator[int]:
+    # the values of the windows that wrap around, after the last window
+    # ``value``; an input shorter than n - 1 wraps repeatedly
+    size = k ** n
     for j in range(n - 1):
         value = (value * k + head[j % len(head)]) % size
         if len(head) + j >= n - 1:

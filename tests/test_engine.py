@@ -757,7 +757,7 @@ def test_verify_duplicate_positions():
     assert positions == (4, 5)
 
 
-def test_verify_out_of_range_symbol():
+def test_verify_out_of_range_symbol(monkeypatch):
     report = verify([0, 1, 2, 0], 2, 2)
     assert not report.ok
     assert report.out_of_range_symbol == 3
@@ -772,6 +772,37 @@ def test_verify_out_of_range_symbol():
     report = verify(iter(symbols), 1, 2 ** 71)
     assert report == verify_reference(symbols, 1, 2 ** 71)
     assert report.first_duplicate == ((2 ** 70,), (2, 4))
+    # a symbol out of range in the first n - 1 symbols, in a later block
+    # of a stream after a repeated window, and in two blocks, of which
+    # only the first is reported: in the table (k = 2) and the dict
+    # (k = 2^64 + 3), as a list, as bytes where the symbols fit, and as a
+    # stream.  The marking pass decides alone: the passes that look for
+    # the repeat never run.
+    passes = []
+    window_values = engine._window_values
+
+    def counted(*args):
+        passes.append(args)
+        return window_values(*args)
+
+    monkeypatch.setattr(engine, "_window_values", counted)
+    seq = collect(SequenceSpec(n=12, k=2, L=3000))
+    twice = seq[:1500] + seq[100:1600]  # position 1501 repeats window 101
+    for k in (2, 2 ** 64 + 3):
+        for bad in (-1, k):
+            for where, positions in ((seq, (4,)), (twice, (2500,)),
+                                     (twice, (700, 2100)), (seq, (3, 1030))):
+                symbols = list(where)
+                for pos in positions:
+                    symbols[pos] = bad
+                want = verify_reference(symbols, 12, k)
+                assert want.out_of_range_symbol == positions[0] + 1
+                inputs = [symbols, iter(symbols)]
+                if 0 <= bad < 256:
+                    inputs.append(bytes(symbols))
+                for seq_in in inputs:
+                    assert verify(seq_in, 12, k) == want, (k, bad, positions)
+    assert not passes
 
 
 def test_verify_length_mismatch():
