@@ -6,8 +6,9 @@ sequences use digit strings for alphabets up to size 10 and comma-separated
 decimals beyond that.  Digit strings are read and written as bytes, a block
 at a time: only the ASCII digits and whitespace may appear in them.
 
-`generate` writes each block of symbols as the engine makes it, from 64
-up to 8,192 symbols: digits with one `translate`, csv with one `join`.
+`generate` writes each block of symbols to standard output's byte stream
+as the engine makes it, from 64 up to 8,192 symbols: digits with one
+`translate`, csv with one `join`.
 
 `verify` reads its file or standard input in 64 KiB blocks and decodes
 each one, digits with one `translate` and csv field by field, with a
@@ -110,19 +111,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = SequenceSpec(n=args.n, k=args.k, L=args.len, mode=args.mode,
                         start=start)
     blocks = _blocks(spec)
+    sys.stdout.flush()
+    out = sys.stdout.buffer
     if fmt == "digits":
-        sys.stdout.flush()
-        out = sys.stdout.buffer
         for block in blocks:
             out.write(bytes(block).translate(_ENCODE))
-        out.write(b"\n")
-        return 0
-    out = sys.stdout
-    sep = ""
-    for block in blocks:
-        out.write(sep + ",".join(map(str, block)))
-        sep = ","
-    out.write("\n")
+    else:
+        sep = b""
+        for block in blocks:
+            out.write(sep + ",".join(map(str, block)).encode())
+            sep = b","
+    out.write(b"\n")
     return 0
 
 
@@ -142,16 +141,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _report_json(report: VerifyReport, k: int) -> dict:
-    dup = None
+    payload = report._asdict()
     if report.first_duplicate is not None:
-        window, (first, second) = report.first_duplicate
-        dup = {"window": format_word(window, k), "positions": [first, second]}
-    return {
-        "ok": report.ok,
-        "length": report.length,
-        "first_duplicate": dup,
-        "out_of_range_symbol": report.out_of_range_symbol,
-    }
+        window, positions = report.first_duplicate
+        payload["first_duplicate"] = {"window": format_word(window, k),
+                                      "positions": list(positions)}
+    return payload
 
 
 def _report_text(report: VerifyReport, k: int) -> str:
@@ -172,14 +167,11 @@ def _cmd_params(args: argparse.Namespace) -> int:
     cuts = cut_set(params.s, params.n)
     markers = [format_word(w, args.k) for w in cuts.markers]
     if args.json:
-        payload = {"n": params.n, "k": params.k, "L": params.L,
-                   "m": params.m, "h": params.h, "t": params.t, "s": params.s,
-                   "markers": markers}
-        print(json.dumps(payload))
+        print(json.dumps(dict(params._asdict(), markers=markers)))
     else:
         width = 7  # len("markers"), the longest name
-        for name in ("n", "k", "L", "m", "h", "t", "s"):
-            print(f"{name:<{width}} {getattr(params, name)}")
+        for name, value in params._asdict().items():
+            print(f"{name:<{width}} {value}")
         print(f"{'markers':<{width}} {' '.join(markers) if markers else '-'}")
     return 0
 
@@ -191,10 +183,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.lyndon:
-        print(count_lyndon(args.n, args.w, args.k))
-    else:
-        print(count_strings(args.n, args.w, args.k))
+    count = count_lyndon if args.lyndon else count_strings
+    print(count(args.n, args.w, args.k))
     return 0
 
 
@@ -206,10 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "k^(n-1) < L <= k^n and no repeated length-n window.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    alphabet = argparse.ArgumentParser(add_help=False)
+    alphabet.add_argument("--k", type=int, default=2,
+                          help="alphabet size (default 2)")
+    command = partial(sub.add_parser, parents=[alphabet])  # all take --k
 
-    gen = sub.add_parser("generate", help="emit a length-L cut-down sequence")
+    gen = command("generate", help="emit a length-L cut-down sequence")
     gen.add_argument("--n", type=int, required=True, help="window length")
-    gen.add_argument("--k", type=int, default=2, help="alphabet size (default 2)")
     gen.add_argument("--len", type=int, required=True, metavar="L",
                      help="target length, k^(n-1) < L <= k^n")
     gen.add_argument("--mode", choices=("counter", "successor"),
@@ -221,10 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output format (default digits for k <= 10)")
     gen.set_defaults(func=_cmd_generate)
 
-    ver = sub.add_parser("verify",
-                         help="check that every cyclic window occurs at most once")
+    ver = command("verify",
+                  help="check that every cyclic window occurs at most once")
     ver.add_argument("--n", type=int, required=True, help="window length")
-    ver.add_argument("--k", type=int, default=2, help="alphabet size (default 2)")
     ver.add_argument("--len", type=int, default=None, metavar="L",
                      help="also require this exact length")
     ver.add_argument("--format", choices=("digits", "csv"),
@@ -234,26 +226,22 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="input file (default: standard input)")
     ver.set_defaults(func=_cmd_verify)
 
-    par = sub.add_parser("params",
-                         help="show the derived cut parameters and markers")
+    par = command("params", help="show the derived cut parameters and markers")
     par.add_argument("--n", type=int, required=True)
-    par.add_argument("--k", type=int, default=2)
     par.add_argument("--len", type=int, required=True, metavar="L")
     par.add_argument("--json", action="store_true", help="JSON output")
     par.set_defaults(func=_cmd_params)
 
-    rnk = sub.add_parser("rank",
-                         help="1-based lexicographic rank of a word's Lyndon "
-                              "rotation among Lyndon words of equal length "
-                              "and weight")
+    rnk = command("rank",
+                  help="1-based lexicographic rank of a word's Lyndon "
+                       "rotation among Lyndon words of equal length and "
+                       "weight")
     rnk.add_argument("word", help="an aperiodic word")
-    rnk.add_argument("--k", type=int, default=2)
     rnk.set_defaults(func=_cmd_rank)
 
-    cnt = sub.add_parser("count", help="exact string / Lyndon word counts")
+    cnt = command("count", help="exact string / Lyndon word counts")
     cnt.add_argument("--n", type=int, required=True, help="word length")
     cnt.add_argument("--w", type=int, required=True, help="weight")
-    cnt.add_argument("--k", type=int, default=2)
     cnt.add_argument("--lyndon", action="store_true",
                      help="count Lyndon words instead of all strings")
     cnt.set_defaults(func=_cmd_count)

@@ -435,11 +435,15 @@ class _Spool:
                 data = bin(data)[3:].encode().translate(_DIGITS)
             yield data
         for block in self._blocks:
+            # bytes() takes any symbol with __index__, and the later passes
+            # would read it back as an int: so the sum must be an int
             try:
+                if not isinstance(sum(block), int):
+                    raise TypeError
                 data: Sequence[int] | int = bytes(block)
             except ValueError:  # a symbol outside [0, 256)
                 data = block
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise _not_ints() from None
             else:
                 if data and not data.translate(None, b"\x00\x01"):
@@ -504,10 +508,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         bytearray(size) if length * 64 >= size else {})
     # One pass marks every window and records the first symbol outside
     # [0, k) in bad; % size keeps the windows of later ones in the table.
-    # A symbol that is not an int raises TypeError in the range check or
-    # the table, or leaves value a non-int (a float, say) for the rest of
-    # its block, which the dict would take, so value is checked once a
-    # block.
+    # A symbol that is not an int raises TypeError (OverflowError for a
+    # NumPy int beside a big value) in the range check or the table, or
+    # leaves value a non-int (a float, say) for the rest of its block,
+    # which the dict would take, so value is checked once a block.
     head: list[int] = []  # the first n - 1 symbols, for the wraparound
     value = length = bad = 0
     for block in blocks:
@@ -522,7 +526,7 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
             for c in symbols:
                 value = (value * k + c) % size
                 seen[value] = 1
-        except TypeError:
+        except (TypeError, OverflowError):
             raise _not_ints() from None
         if not isinstance(value, int):
             raise _not_ints()
@@ -532,16 +536,9 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
     for value in _wraparound(value, head, n, k):
         seen[value] = 1
     distinct = len(seen) if isinstance(seen, dict) else seen.count(1)
-
-    # fewer distinct windows than symbols: two more passes find the first
-    # repeat and then where its window first occurred
-    duplicate = None
-    if distinct < length:
-        second, value = _first_repeat(_window_values(blocks, n, k), seen)
-        values = _window_values(blocks, n, k)
-        first = next(pos for pos, v in enumerate(values, 1) if v == value)
-        window = tuple(value // k ** (n - 1 - j) % k for j in range(n))
-        duplicate = (window, (first, second))
+    # fewer distinct windows than symbols: some window repeats
+    duplicate = (_first_duplicate(blocks, n, k, seen) if distinct < length
+                 else None)
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
 
@@ -578,13 +575,18 @@ def _wraparound(value: int, head: list[int], n: int,
             yield value
 
 
-def _first_repeat(values: Iterator[int],
-                  seen: dict[int, int] | bytearray) -> tuple[int, int]:
-    # 1-based position and value of the first window seen before.  The
-    # marking pass set every window to 1; marking 2s passes over those, so
-    # no memory is added, in the table and the dict alike.
-    for pos, value in enumerate(values, 1):
+def _first_duplicate(blocks: Iterable[Sequence[int]], n: int, k: int,
+                     seen: dict[int, int] | bytearray
+                     ) -> tuple[Word, tuple[int, int]]:
+    # the first window seen before and the 1-based positions of its first
+    # two occurrences, in two passes.  The marking pass set every window
+    # to 1; marking 2s passes over those, so no memory is added, in the
+    # table and the dict alike.
+    for second, value in enumerate(_window_values(blocks, n, k), 1):
         if seen[value] == 2:
-            return pos, value
+            values = _window_values(blocks, n, k)
+            first = next(pos for pos, v in enumerate(values, 1) if v == value)
+            window = tuple(value // k ** (n - 1 - j) % k for j in range(n))
+            return window, (first, second)
         seen[value] = 2
     raise RuntimeError("the marking pass saw a repeated window; none found")

@@ -41,19 +41,20 @@ from .words import (Word, is_necklace, least_rotation, period,
 ORACLE_LIMIT = 10 ** 7
 
 
-def enumerate_lyndon(n: int, w: int, k: int, limit: int = ORACLE_LIMIT) -> list[Word]:
+def enumerate_lyndon(n: int, w: int, k: int) -> list[Word]:
     """All Lyndon words of length n and weight w in increasing lexicographic
     order, found by filtering all k^n candidate words.
 
     Raises ValueError, as ``count_lyndon`` does, when n, w or k is not an
     int, n < 1 or k < 2; an out-of-range w gives [].  Refuses (ValueError)
-    when k^n exceeds ``limit``; this is an oracle for validation, not a
-    production enumerator.
+    when k^n exceeds ``ORACLE_LIMIT``; this is an oracle for validation,
+    not a production enumerator.
     """
     if not all(isinstance(x, int) for x in (n, w, k)) or n < 1 or k < 2:
         raise ValueError(f"need ints n >= 1 and k >= 2, not {(n, w, k)}")
-    if k ** n > limit:
-        raise ValueError(f"k^n = {k ** n} exceeds the oracle limit {limit}")
+    if k ** n > ORACLE_LIMIT:
+        raise ValueError(f"k^n = {k ** n} exceeds the oracle limit "
+                         f"{ORACLE_LIMIT}")
     out = []
     for cand in product(range(k), repeat=n):
         if sum(cand) == w and is_necklace(cand) == n:

@@ -42,14 +42,23 @@ def pcr3_alt(word: Word, k: int) -> int:
     symbol and appending c yields a necklace (c = 0 if none).  Returns k-1
     when the first symbol is c-1, first symbol minus one when it is >= c > 0,
     else the first symbol unchanged.  Iterated from any word it traces a
-    full de Bruijn sequence.  The empty word raises ValueError.
+    full de Bruijn sequence.  The empty word, k not an int >= 2 or a
+    symbol not an int in [0, k) raises ValueError.
     """
+    if not word:
+        raise ValueError("pcr3_alt has no successor for the empty word")
+    try:  # symbols whose sum is an int are ints, which min and max compare
+        ints = isinstance(sum(word), int)
+    except TypeError:  # a symbol that does not add, such as a str
+        ints = False
+    if not (isinstance(k, int) and k >= 2 and ints and min(word) >= 0
+            and max(word) < k):
+        raise ValueError(f"need an int k >= 2 and int symbols in [0, k), "
+                         f"not {word!r} and k = {k!r}")
     # By the fundamental theorem of necklaces, with p the period of the
     # tail's longest Lyndon prefix and b = tail[-p], tail + (c,) is a
     # necklace iff c > b, or c == b and p divides n.  A tail that is not a
     # prenecklace extends to no necklace at all.
-    if not word:
-        raise ValueError("pcr3_alt has no successor for the empty word")
     n = len(word)
     a1 = word[0]
     p = prenecklace_period(word[1:])
@@ -177,7 +186,7 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
     cycle of period h it reaches from below (passing the candidate window
     packed as in ``pack``), and finally redirects at the markers.  A window
     heavier than m, which is on no cut-down cycle, raises ValueError when
-    the cap is reached.
+    the cap is reached; so does a window whose length is not n.
 
     A sequence starts by default one step after 0^n, in either mode:
     usually at 0^(n-1)(k-1), but for small orders with k-1 >= m that window
@@ -185,6 +194,8 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
     start (possibly using a join).
     """
     k, m, h = params.k, params.m, params.h
+    if len(word) != params.n:
+        raise ValueError(f"window {word} does not have length n = {params.n}")
     a1 = word[0]
     tail = word[1:]
     w = sum(word)

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import re
 import sys
 
 import pytest
@@ -450,3 +451,25 @@ def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command, options", [
+    ("generate", "--n --k --len --mode --start --format"),
+    ("verify", "--n --k --len --format --json input"),
+    ("params", "--n --k --len --json"),
+    ("rank", "word --k"),
+    ("count", "--n --w --k --lyndon"),
+])
+def test_subcommand_help_lists_its_options(capsys, monkeypatch, command,
+                                           options):
+    # every subcommand takes --k, with its help text, from one parent
+    # parser, which must neither drop nor add an option
+    monkeypatch.setenv("COLUMNS", "80")  # so no help line wraps
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    listed = re.findall(r"^  ([-\w]+)", out, re.MULTILINE)
+    assert sorted(listed) == sorted(["-h", *options.split()])
+    assert re.search(r"^  --k K +alphabet size \(default 2\)$", out,
+                     re.MULTILINE)

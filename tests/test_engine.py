@@ -818,6 +818,37 @@ def test_verify_shorter_than_window():
     assert report.first_duplicate == ((0, 0, 0), (1, 2))
 
 
+class IndexOnly:
+    """A symbol with only __index__: bytes() takes it, nothing compares or
+    adds it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class OverflowsOnAdd(IndexOnly):
+    """A symbol that compares like an int but, like a NumPy int beside a
+    Python int beyond 64 bits, raises OverflowError when one is added."""
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __gt__(self, other):
+        return self.value > other
+
+    def __le__(self, other):
+        return self.value <= other
+
+    def __ge__(self, other):
+        return self.value >= other
+
+    def __radd__(self, other):
+        raise OverflowError("Python int too large to convert")
+
+
 def test_verify_rejects_bad_order_or_alphabet():
     with pytest.raises(ValueError, match="n >= 1"):
         verify([0, 1, 1], 0, 2)
@@ -830,10 +861,11 @@ def test_verify_rejects_bad_order_or_alphabet():
         with pytest.raises(ValueError, match="expected_len"):
             verify([0, 1, 1, 0], 2, 2, expected_len=expected_len)
     # symbols that are not ints, as a list (read in place) and as an
-    # iterator (spooled), in the window table (n = 2) and the dict (k huge);
-    # bools are ints
+    # iterator (spooled), in the window table (n = 2) and the dict (k huge),
+    # with stand-ins for NumPy ints last; bools are ints
     for symbols in ([0.5, 1, 0.5], [0.5, 1, 0, 1], [0, 1, 1.0, 0], "0110",
-                    [0, 1, "1", 0], [0, 1, 1, 0, 0, 1j]):
+                    [0, 1, "1", 0], [0, 1, 1, 0, 0, 1j],
+                    [0, 1, IndexOnly(1), 0], [0, 1, OverflowsOnAdd(1), 0]):
         for n, k in ((2, 2), (1, 10 ** 12)):
             for seq in (symbols, iter(symbols)):
                 with pytest.raises(ValueError, match="must be ints"):
@@ -849,6 +881,18 @@ def test_verify_rejects_bad_order_or_alphabet():
         verify(iter([300, 0.5, 1, 0.5]), 1, 10 ** 12)
     assert verify([False, True, True, False], 2, 2).ok
     assert verify(iter([False, True, True, False]), 2, 2).ok
+
+
+def test_verify_rejects_numpy_ints():
+    # a NumPy int beside a value beyond 64 bits raised OverflowError, and a
+    # NumPy array, read as a stream, reached the marks through the spool's
+    # bytes() as ints
+    np = pytest.importorskip("numpy")
+    for symbols in ([0, 1, np.int64(1), 0], np.array([0, 1, 1, 0])):
+        for k in (2, 2 ** 40):
+            for seq in (symbols, iter(symbols)):
+                with pytest.raises(ValueError, match="must be ints"):
+                    verify(seq, 2, k)
 
 
 def test_verify_rejects_empty():

@@ -70,7 +70,7 @@ def test_enumerate_refuses_above_limit():
     with pytest.raises(ValueError, match="limit"):
         enumerate_lyndon(40, 20, 2)
     with pytest.raises(ValueError, match="limit"):
-        enumerate_lyndon(10, 5, 2, limit=1000)
+        enumerate_lyndon(24, 12, 2)  # refused before it enumerates
 
 
 def test_enumerate_validates_arguments_like_count_lyndon():

@@ -199,6 +199,29 @@ def test_empty_word_has_no_successor():
             call()
 
 
+def test_bad_alphabet_or_symbol_raises():
+    # these used to return a symbol: 4, 0, -1
+    for call in (lambda: pcr3_alt((5,), 2), lambda: pcr3((0, 1, 1.5)),
+                 lambda: mc_step((0, 1), lambda w: True, k=0),
+                 lambda: pcr3_alt((0, -1, 1), 3), lambda: pcr3_alt((0, 3), 3),
+                 lambda: pcr3_alt((0, 1), 2.0), lambda: pcr3_alt((0, 1), 1),
+                 lambda: pcr3_alt((0, "1"), 2), lambda: pcr3((None, 1))):
+        with pytest.raises(ValueError, match=r"int symbols in \[0, k\)"):
+            call()
+    assert pcr3((False, True, True)) == pcr3((0, 1, 1))
+
+
+def test_window_of_wrong_length_raises():
+    # cut_down_successor used to return 1 here
+    params = derive_params(4, 2, 12)
+    cuts = cut_set(params.s, 4)
+    for word in ((0, 0, 1), (0, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="length n = 4"):
+            cut_down_successor(word, params, cuts)
+        with pytest.raises(ValueError, match="length n = 4"):
+            kary_step(word, params, cuts, counter_join(params))
+
+
 def test_mc_step_kary_picks_largest_member():
     # keep windows of weight <= 4: from 003 the natural branch to 033 is
     # blocked and the largest in-set symbol follows instead
