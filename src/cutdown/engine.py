@@ -198,15 +198,16 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                 z0 = n - probe.bit_length()
                 # later starts of as many 0s, by doubling: the starts of
                 # z-long runs, and-ed with themselves shifted by d <= z,
-                # are those of (z + d)-long runs.  No run wraps, since the
-                # probe ends with a 1, so from the 0s after the leading
-                # run (starts of 1-long runs) shifts alone find them
+                # are those of (z + d)-long runs, so z doubles while it
+                # fits in z0 and one last shift adds z0 - z.  No run wraps,
+                # since the probe ends with a 1, so from the 0s after the
+                # leading run (starts of 1-long runs) shifts alone find them
                 starts = probe ^ (mask >> z0)
                 z = 1
-                while z < z0:
-                    d = z if z + z <= z0 else z0 - z
-                    starts &= starts << d
-                    z += d
+                while z + z <= z0:
+                    starts &= starts << z
+                    z += z
+                starts &= starts << (z0 - z)
                 runs = starts
                 p = n
                 while starts:
@@ -232,16 +233,19 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             elif p and 0 < alpha <= low and alpha not in marked:
                 # alpha is the probe or the probe with its last 1 cleared
-                if alpha & 1 and runs:
-                    # the probe, with several longest runs: the multiples
-                    # of p
+                if alpha & 1:
+                    # the multiples of p, or the first c + 1 positions of a
+                    # single longest run, the leading one
                     neck = alpha
-                    cmask = mask // ((1 << p) - 1) << (p - 1)
+                    if runs:
+                        cmask = mask // ((1 << p) - 1) << (p - 1)
+                    else:
+                        c = (n - alpha.bit_length() + 1) >> 1
+                        cmask = ((2 << c) - 1) << (top - c)
                 else:
-                    # one longest run, whose first c + 1 positions are
-                    # marked.  Clearing the last 1 joins the tz 0s before
-                    # it to the leading run, so the run and the necklace
-                    # start at n - tz; the probe itself has tz = 0
+                    # clearing the last 1 joins the tz 0s before it to the
+                    # leading run: one longest run, from n - tz, where the
+                    # necklace starts
                     tz = (alpha & -alpha).bit_length() - 1
                     neck = ((alpha << (n - tz)) & mask) | (alpha >> tz)
                     c = (n - alpha.bit_length() + tz + 1) >> 1
@@ -306,21 +310,32 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     # A marked step runs pcr3_alt: the tail seq[i + 1:] is a prenecklace
     # iff it starts with v and each later v starts a suffix no smaller than
     # the tail's prefix of its length; the first equal one gives the
-    # period p.  When v is only the dropped symbol a1, every tail symbol is
-    # above v, and pcr3_alt changes a1 only if c = v + 1, so b = tail[-p]
-    # = v + 1, the tail's least symbol, and p divides n; b also ends the
-    # tail's Lyndon prefix, which it can only if p = 1.  So the window is
-    # v (v + 1)^(n - 1), the lightest such window, and a1 becomes k - 1.
+    # period p.  Both start with v, so their second symbols settle most of
+    # these compares, and the slices are built only on a tie; the suffix
+    # [v] at the last position equals the prefix.  When the tail starts
+    # with a run of z0 >= 2 v's, a later v whose run is shorter and ends
+    # inside the window starts a larger suffix, so only the starts of
+    # z0-long runs, found by doubling as in _binary_symbols, are compared,
+    # and the first position from 2 on of the trailing run of v, which
+    # ends with the window and can equal the prefix.  When v is only the
+    # dropped symbol a1, every tail symbol is above v, and pcr3_alt changes
+    # a1 only if c = v + 1, so b = tail[-p] = v + 1, the tail's least
+    # symbol, and p divides n; b also ends the tail's Lyndon prefix, which
+    # it can only if p = 1.  So the window is v (v + 1)^(n - 1), the
+    # lightest such window, and a1 becomes k - 1.
     # The symbol stands when it is the dropped one, or keeps the weight
     # below m and lands on no marker (only a candidate of a marker's
-    # weight is compared); other steps, and all while the window is a
-    # rotation of a marker (hot), go to successor.kary_step.  Only
-    # kary_step is looked up on the module, at every call, so a wrapper
-    # installed there sees each call.
+    # weight is compared).  A window of weight m keeps a1 in place of a
+    # heavier symbol, as kary_step's weight cap does; its candidate is
+    # then a rotation of the window, so no marker.  Other steps, and all
+    # while the window is a rotation of a marker (hot), go to
+    # successor.kary_step.  Only kary_step is looked up on the module, at
+    # every call, so a wrapper installed there sees each call.
     n, k, L, m = params.n, params.k, params.L, params.m
     full = (1 << n) - 1
     top = n - 1
     low = full >> 1
+    third = (full + 1) >> 3  # position 2, or 0 at n = 2
     markers = [list(w) for w in cuts.markers]
     marked = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
     marker_weights = {sum(w) for w in cuts.markers}
@@ -361,17 +376,38 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
             elif seq[i + 1] == v:
                 p = top  # the period of the tail, or 0 if no prenecklace
                 later = least & (low >> 1)
+                if least & third:  # the tail starts v v
+                    z0 = top - (low & ~least).bit_length()
+                    starts, z = least, 1
+                    while z + z <= z0:
+                        starts &= starts << z
+                        z += z
+                    later &= starts & (starts << (z0 - z))
+                    if least & 1:
+                        tr = (least ^ (least + 1)).bit_length() - 1
+                        later |= (1 << min(tr, top - 1) >> 1) & (low >> 1)
                 while later:
                     b = later.bit_length()  # v at position n - b
                     later ^= 1 << (b - 1)
-                    suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
-                    if suffix <= prefix:
-                        p = top - b if suffix == prefix else 0
+                    if b == 1:  # the suffix [v] equals the prefix
+                        p = top - 1
+                        break
+                    # both start with v, so the next symbols mostly decide
+                    suffix, prefix = seq[1 - b], seq[i + 2]
+                    if suffix == prefix:
+                        suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
+                        if suffix == prefix:
+                            p = top - b
+                            break
+                    if suffix < prefix:
+                        p = 0
                         break
                 if p:
                     b = seq[-p]
                     c = b if b and n % p == 0 else b + 1
                     x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
+            if x > a1 and w == m and not hot:
+                x = a1  # the weight cap keeps a weight-m window's class
             if hot or x != a1 and (
                     w - a1 + x >= m or w - a1 + x in marker_weights
                     and seq[i + 1:] + [x] in markers):

@@ -11,9 +11,9 @@ one pass from the start) or ``threshold_join`` (Lyndon word >= tau, where
 tau is unranked when the join is built; stateless), which makes
 ``cut_down_successor`` context-free.  The rule is the readable reference
 for both loops in ``engine``; the k-ary loop also calls it, through this
-module, for its rare steps that reach the weight cap or land on a marker.
-A ``counter_join`` must be driven from a single thread; everything else
-here is safe to share.
+module, for its rare steps that reach the weight cap from below or land
+on a marker.  A ``counter_join`` must be driven from a single thread;
+everything else here is safe to share.
 """
 
 from __future__ import annotations
@@ -158,16 +158,23 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
 
     Those are the windows of weight < m, of weight m and period < h, and of
     weight m and period h whose cycle ``threshold_join`` joins, less the
-    windows of the small cycles the markers cut.
+    windows of the small cycles the markers cut.  A window whose length is
+    not n, or with a symbol that is not an int in [0, k), raises
+    ValueError, as in ``kary_step``.
     """
-    m, h = params.m, params.h
+    k, m, h = params.k, params.m, params.h
+    if len(word) != params.n:
+        raise ValueError(f"window {word} does not have length n = {params.n}")
+    if not all(isinstance(c, int) and 0 <= c < k for c in word):
+        raise ValueError(f"need int symbols in [0, k), not {word!r} and "
+                         f"k = {k}")
     w = sum(word)
     if w > m:
         return False
     if w == m:
         p = period(word)
         if p > h or (p == h and
-                     pack(least_rotation(word), params.k) < _tau(params)):
+                     pack(least_rotation(word), k) < _tau(params)):
             return False
     for size in cuts.sizes:
         cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)

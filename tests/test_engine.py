@@ -344,12 +344,12 @@ def test_packed_loop_equals_tuple_rule_at_wide_n(data):
 @settings(max_examples=6, deadline=None)
 @given(st.data())
 def test_list_loop_equals_tuple_rule_at_wide_n(data):
-    # first 1000 symbols at k = 3 or 4, n = 96..256, past the k^n <= 2^64
-    # of the large-n test: counter runs from the default start, successor
-    # runs from a random on-cycle window of weight m - 1 and, as at k = 2,
-    # join above a drawn weight-m necklace in place of tau
+    # first 1000 symbols at k = 3, n = 96..256, or k = 4, n = 96..512, past
+    # the k^n <= 2^64 of the large-n test: counter runs from the default
+    # start, successor runs from a random on-cycle window of weight m - 1
+    # and, as at k = 2, join above a drawn weight-m necklace in place of tau
     k = data.draw(st.sampled_from([3, 4]), label="k")
-    n = data.draw(st.integers(96, 256), label="n")
+    n = data.draw(st.integers(96, 256 if k == 3 else 512), label="n")
     L = data.draw(st.integers(k ** (n - 1) + 1, k ** n), label="L")
     mode = data.draw(st.sampled_from(["counter", "successor"]), label="mode")
     params = derive_params(n, k, L)
@@ -432,7 +432,8 @@ def test_list_loop_hands_kary_step_only_cap_and_marker_steps(k, n,
     # is a rotation of a marker or pcr3_alt changes the symbol and reaches
     # the weight cap or a marker (and at 0^n, for the default start and the
     # splice after the all-0 marker), and it calls pcr3_alt only through
-    # kary_step
+    # kary_step.  A window of weight m keeps its class, as the cap does,
+    # inline unless it is a rotation of a marker
     calls = {"kary_step": [], "pcr3_alt": 0}
     step, alt = successor.kary_step, successor.pcr3_alt
 
@@ -460,6 +461,42 @@ def test_list_loop_hands_kary_step_only_cap_and_marker_steps(k, n,
                 assert (word in hot or not any(word) or x != word[0] and (
                     sum(cand) >= params.m or cand in cuts.markers)), (
                     L, mode, word)
+                assert sum(word) < params.m or word in hot, (L, mode, word)
+
+
+def test_list_loop_caps_weight_m_windows_inline(monkeypatch):
+    # the opening stretch at (4, 512) holds many windows of weight m whose
+    # pcr3_alt symbol is heavier; the loop keeps their symbol itself, so
+    # the first 5000 symbols call kary_step 17 times, not 1905
+    calls = []
+    step = successor.kary_step
+
+    def counted_step(word, *args):
+        calls.append(word)
+        return step(word, *args)
+
+    monkeypatch.setattr(successor, "kary_step", counted_step)
+    n, k = 512, 4
+    spec = SequenceSpec(n=n, k=k, L=k ** n - k ** (n - 1) // 3)
+    head = list(itertools.islice(generate(spec), 5000))
+    assert len(head) == 5000
+    assert len(calls) <= 50, len(calls)
+
+
+@pytest.mark.parametrize("mode", ["counter", "successor"])
+def test_list_loop_keeps_the_trailing_run_of_the_least_symbol(mode):
+    # at (3, 3, 24) a marked step's tail can start v v and end with a
+    # shorter run of v: the run filter must still compare that run, which
+    # can equal the tail's prefix, or the output leaves the tuple rule
+    n, k, L = 3, 3, 24
+    params = derive_params(n, k, L)
+    cuts = cut_set(params.s, n)
+    joins = (counter_join if mode == "counter" else threshold_join)(params)
+    ref, _ = iterate(start_after_zero(params, cuts, joins),
+                     lambda w: kary_step(w, params, cuts, joins), L)
+    seq = collect(SequenceSpec(n=n, k=k, L=L, mode=mode))
+    assert seq == ref
+    assert verify(seq, n, k, expected_len=L).ok
 
 
 # --- k-ary successor mode --------------------------------------------------

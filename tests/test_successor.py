@@ -13,6 +13,7 @@ from cutdown.successor import (
     cut_down_successor,
     kary_step,
     mc_step,
+    on_target_cycle,
     pcr3,
     pcr3_alt,
     threshold_join,
@@ -200,19 +201,26 @@ def test_empty_word_has_no_successor():
 
 
 def test_bad_alphabet_or_symbol_raises():
-    # these used to return a symbol: 4, 0, -1
+    # these used to return a symbol: 4, 0, -1, and on_target_cycle True
+    params = derive_params(4, 2, 12)
+    cuts = cut_set(params.s, 4)
     for call in (lambda: pcr3_alt((5,), 2), lambda: pcr3((0, 1, 1.5)),
                  lambda: mc_step((0, 1), lambda w: True, k=0),
                  lambda: pcr3_alt((0, -1, 1), 3), lambda: pcr3_alt((0, 3), 3),
                  lambda: pcr3_alt((0, 1), 2.0), lambda: pcr3_alt((0, 1), 1),
-                 lambda: pcr3_alt((0, "1"), 2), lambda: pcr3((None, 1))):
+                 lambda: pcr3_alt((0, "1"), 2), lambda: pcr3((None, 1)),
+                 lambda: on_target_cycle((0, 0, -1, 0), params, cuts),
+                 lambda: on_target_cycle((0, 0, 2, 0), params, cuts),
+                 lambda: on_target_cycle((0, 0, 0.0, 1), params, cuts),
+                 lambda: on_target_cycle((0, "0", 0, 1), params, cuts)):
         with pytest.raises(ValueError, match=r"int symbols in \[0, k\)"):
             call()
     assert pcr3((False, True, True)) == pcr3((0, 1, 1))
+    assert on_target_cycle((False, False, False, True), params, cuts)
 
 
 def test_window_of_wrong_length_raises():
-    # cut_down_successor used to return 1 here
+    # cut_down_successor used to return 1 here, and on_target_cycle True
     params = derive_params(4, 2, 12)
     cuts = cut_set(params.s, 4)
     for word in ((0, 0, 1), (0, 0, 0, 1, 0)):
@@ -220,6 +228,8 @@ def test_window_of_wrong_length_raises():
             cut_down_successor(word, params, cuts)
         with pytest.raises(ValueError, match="length n = 4"):
             kary_step(word, params, cuts, counter_join(params))
+        with pytest.raises(ValueError, match="length n = 4"):
+            on_target_cycle(word, params, cuts)
 
 
 def test_mc_step_kary_picks_largest_member():
