@@ -22,11 +22,7 @@ from __future__ import annotations
 
 from math import comb, gcd
 
-
-def _check_ints(**args: int) -> None:
-    # bools pass, as they do in engine.verify
-    if not all(isinstance(x, int) for x in args.values()):
-        raise ValueError(f"arguments must be ints, not {args}")
+from .words import check_ints
 
 
 def count_strings(n: int, w: int, k: int) -> int:
@@ -35,7 +31,7 @@ def count_strings(n: int, w: int, k: int) -> int:
     Equals the binomial coefficient C(n, w) when k == 2.  Returns 0 for
     weights outside [0, (k-1)*n].
     """
-    _check_ints(n=n, w=w, k=k)
+    check_ints(n=n, w=w, k=k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0 or w > (k - 1) * n:
@@ -48,7 +44,7 @@ def count_strings(n: int, w: int, k: int) -> int:
 
 def mobius(i: int) -> int:
     """Standard Moebius function: 0 on non-squarefree i, else (-1)^#primes."""
-    _check_ints(i=i)
+    check_ints(i=i)
     if i < 1:
         raise ValueError("mobius is defined for positive integers")
     result = 1
@@ -67,7 +63,7 @@ def mobius(i: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Divisors of n in increasing order."""
-    _check_ints(n=n)
+    check_ints(n=n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -90,7 +86,7 @@ def count_lyndon(n: int, w: int, k: int) -> int:
     With the convention gcd(n, 0) == n, so the only weight-0 Lyndon word is
     the single-symbol word (0,).
     """
-    _check_ints(n=n, w=w)
+    check_ints(n=n, w=w)
     if n < 1:
         raise ValueError("need n >= 1")
     total = 0
@@ -103,7 +99,7 @@ def count_lyndon(n: int, w: int, k: int) -> int:
 
 def count_weight_at_most(w: int, n: int, k: int) -> int:
     """Number of length-n words with weight <= w; 0 when w < 0."""
-    _check_ints(w=w, n=n, k=k)
+    check_ints(w=w, n=n, k=k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if w < 0:
@@ -122,7 +118,7 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
     words are the p distinct rotations of each of the count_lyndon(p, w*p/n)
     repeated Lyndon words.
     """
-    _check_ints(w=w, p=p, n=n, k=k)
+    check_ints(w=w, p=p, n=n, k=k)
     if p < 1 or p > n or n % p or (w * p) % n:
         return 0
     return p * count_lyndon(p, w * p // n, k)
@@ -130,6 +126,6 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
 
 def count_weight_period_at_most(w: int, p: int, n: int, k: int) -> int:
     """Number of length-n words with weight w and period <= p; 0 when p < 1."""
-    _check_ints(w=w, p=p, n=n, k=k)
+    check_ints(w=w, p=p, n=n, k=k)
     # only a divisor of n is the period of a length-n word
     return sum(count_weight_period(w, q, n, k) for q in divisors(n) if q <= p)

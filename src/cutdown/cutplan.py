@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections import namedtuple
 
 from .counting import count_weight_at_most, count_weight_period, divisors
-from .words import Word
+from .words import Word, check_ints
 
 
 class CutParams(namedtuple("CutParams", "n k L m h t s")):
@@ -51,8 +51,7 @@ def derive_params(n: int, k: int, L: int) -> CutParams:
     the supported interval (k^(n-1), k^n]; shorter targets should reduce
     the order n instead.
     """
-    if not all(isinstance(x, int) for x in (n, k, L)):
-        raise ValueError(f"n, k and L must be ints, not {n!r}, {k!r}, {L!r}")
+    check_ints(n=n, k=k, L=L)
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
     lo, hi = k ** (n - 1), k ** n
@@ -91,22 +90,17 @@ def marker_word(i: int, n: int) -> Word:
     For i == 1 this is the all-zero word.  When i divides n the window is the
     repeated pattern itself; otherwise the window starts at the phase with
     (n mod i) - 1 leading zeros, which is the first one reached by the main
-    cycle.  Only i == 1 or i <= ceil(n/2) are cuttable; larger cycles act as
-    bridges between register cycles and cannot be removed this way.
-    Raises ValueError when i or n is not an int or i is not cuttable.
+    cycle: the last n symbols of the pattern repeated.  Only i == 1 or
+    i <= ceil(n/2) are cuttable; larger cycles act as bridges between
+    register cycles and cannot be removed this way.  Raises ValueError when
+    i or n is not an int, n < 1 or i is not cuttable.
     """
-    if not (isinstance(i, int) and isinstance(n, int)):
-        raise ValueError(f"i and n must be ints, not {i!r}, {n!r}")
-    if i == 1:
-        return (0,) * n
-    if not 2 <= i <= (n + 1) // 2:
+    check_ints(i=i, n=n)
+    if not (n >= 1 and (i == 1 or 2 <= i <= (n + 1) // 2)):
         raise ValueError(f"cycle length {i} not cuttable for n={n}: "
-                         f"need i == 1 or i <= ceil(n/2)")
-    pattern = (0,) * (i - 1) + (1,)
-    x, r = divmod(n, i)
-    if r == 0:
-        return pattern * x
-    return (0,) * (r - 1) + (1,) + pattern * x
+                         f"need n >= 1 and i == 1 or i <= ceil(n/2)")
+    cycle = (0,) * (i - 1) + (1,) if i > 1 else (0,)
+    return (cycle * (n // i + 1))[-n:]
 
 
 def cut_set(surplus: int, n: int) -> CutSet:
@@ -116,8 +110,7 @@ def cut_set(surplus: int, n: int) -> CutSet:
     split as ceil(n/2) + remainder across two disjoint cycles.  Raises
     ValueError when surplus or n is not an int or surplus is outside [0, n).
     """
-    if not (isinstance(surplus, int) and isinstance(n, int)):
-        raise ValueError(f"surplus and n must be ints, not {surplus!r}, {n!r}")
+    check_ints(surplus=surplus, n=n)
     if not 0 <= surplus < n:
         raise ValueError(f"surplus {surplus} out of range [0, {n})")
     if surplus == 0:

@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
-from .words import Word, format_word, pack
+from .words import Word, check_word, format_word, pack
 
 _CHUNK = 8192
 # verify reads an iterable in lists this long: with the growth of the list
@@ -49,18 +49,13 @@ class SequenceSpec(namedtuple("SequenceSpec", "n k L mode start")):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, L: int, mode: str = "counter",
-                start: Word | None = None) -> SequenceSpec:
+                start: Sequence[int] | None = None) -> SequenceSpec:
         if mode not in ("counter", "successor"):
             raise ValueError(f"unknown mode {mode!r}")
         if start is not None:
             if mode != "successor":
                 raise ValueError("start window applies to successor mode only")
-            if len(start) != n:
-                raise ValueError("start window must have length n")
-            if not all(isinstance(c, int) and 0 <= c < k for c in start):
-                raise ValueError(f"start window symbols must be ints in "
-                                 f"[0, {k})")
-            start = tuple(start)  # a tuple keeps the record hashable
+            start = check_word(start, k, n)  # a tuple keeps it hashable
         return super().__new__(cls, n, k, L, mode, start)
 
     @classmethod

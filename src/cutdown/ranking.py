@@ -31,12 +31,13 @@ so it refuses to run above a candidate-count limit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import product
 from math import gcd
 
 from .counting import count_lyndon, divisors, mobius
-from .words import (Word, is_necklace, least_rotation, period,
-                    prenecklace_period, weight)
+from .words import (Word, check_ints, check_word, is_necklace,
+                    least_rotation, period, prenecklace_period, weight)
 
 ORACLE_LIMIT = 10 ** 7
 
@@ -106,21 +107,17 @@ def _lyndon_at_most(x: Word, w: int, k: int) -> int:
     return count_lyndon(n, w, k) - above // n
 
 
-def rank_lyndon(word: Word, k: int = 2) -> int:
+def rank_lyndon(word: Sequence[int], k: int = 2) -> int:
     """1-based rank of the Lyndon rotation of ``word`` among all Lyndon words
     of the same length and weight, in lexicographic order: the number of
     those Lyndon words that are <= ``least_rotation(word)``.
 
-    The input must be a non-empty word of ints in [0, k) and aperiodic
-    (periodic words have no Lyndon rotation), and k must be an int, else
-    ValueError; rotations of the same word therefore all share one rank.
+    The input must pass ``words.check_word`` and be aperiodic (periodic
+    words have no Lyndon rotation), else ValueError; rotations of the same
+    word therefore all share one rank.
     """
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, not {k!r}")
-    word = tuple(word)
+    word = check_word(word, k)
     n = len(word)
-    if n < 1 or not all(isinstance(c, int) and 0 <= c < k for c in word):
-        raise ValueError(f"{word} is not a non-empty word over 0..{k - 1}")
     if period(word) != n:
         raise ValueError(f"{word} is periodic; it has no Lyndon rotation")
     return _lyndon_at_most(least_rotation(word), weight(word), k)
@@ -133,8 +130,7 @@ def unrank_lyndon(n: int, w: int, r: int, k: int = 2) -> Word:
     Raises ValueError when n, w or r is not an int, or unless
     1 <= r <= count_lyndon(n, w, k).
     """
-    if not all(isinstance(x, int) for x in (n, w, r)):
-        raise ValueError(f"n, w and r must be ints, not {n!r}, {w!r}, {r!r}")
+    check_ints(n=n, w=w, r=r)
     total = count_lyndon(n, w, k)
     if not 1 <= r <= total:
         raise ValueError(f"rank {r} out of range [1, {total}] for "

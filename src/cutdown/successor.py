@@ -1,6 +1,7 @@
 """Feedback functions and the cut-down rule for cut-down de Bruijn sequences.
 
-Everything operates on words as tuples of ints (first symbol = oldest).
+Every rule here takes its window as any sequence of int symbols (first
+symbol = oldest), which ``words.check_word`` checks and makes a tuple.
 ``pcr3_alt`` is the underlying de Bruijn successor for the pure cycling
 register over any alphabet (``pcr3`` is its binary case), decided by one
 ``words.prenecklace_period`` scan of the window's tail; ``mc_step``
@@ -18,23 +19,24 @@ everything else here is safe to share.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from .counting import count_lyndon
 from .cutplan import CutParams, CutSet
 from .ranking import unrank_lyndon
-from .words import Word, least_rotation, pack, period, prenecklace_period
+from .words import (Word, check_word, least_rotation, pack, period,
+                    prenecklace_period)
 
 
-def pcr3(word: Word) -> int:
+def pcr3(word: Sequence[int]) -> int:
     """Binary de Bruijn successor on the pure cycling register: ``pcr3_alt``
     at k = 2, which complements the first symbol when dropping it and
     appending 1 yields a necklace."""
     return pcr3_alt(word, 2)
 
 
-def pcr3_alt(word: Word, k: int) -> int:
+def pcr3_alt(word: Sequence[int], k: int) -> int:
     """k-ary de Bruijn successor on the pure cycling register ("last symbol"
     joining; the rule catalogued as PCR3 (alt)).
 
@@ -42,19 +44,10 @@ def pcr3_alt(word: Word, k: int) -> int:
     symbol and appending c yields a necklace (c = 0 if none).  Returns k-1
     when the first symbol is c-1, first symbol minus one when it is >= c > 0,
     else the first symbol unchanged.  Iterated from any word it traces a
-    full de Bruijn sequence.  The empty word, k not an int >= 2 or a
-    symbol not an int in [0, k) raises ValueError.
+    full de Bruijn sequence.  A word that ``words.check_word`` refuses
+    raises ValueError.
     """
-    if not word:
-        raise ValueError("pcr3_alt has no successor for the empty word")
-    try:  # symbols whose sum is an int are ints, which min and max compare
-        ints = isinstance(sum(word), int)
-    except TypeError:  # a symbol that does not add, such as a str
-        ints = False
-    if not (isinstance(k, int) and k >= 2 and ints and min(word) >= 0
-            and max(word) < k):
-        raise ValueError(f"need an int k >= 2 and int symbols in [0, k), "
-                         f"not {word!r} and k = {k!r}")
+    word = check_word(word, k)
     # By the fundamental theorem of necklaces, with p the period of the
     # tail's longest Lyndon prefix and b = tail[-p], tail + (c,) is a
     # necklace iff c > b, or c == b and p divides n.  A tail that is not a
@@ -71,14 +64,17 @@ def pcr3_alt(word: Word, k: int) -> int:
     return a1 - 1 if a1 >= c else a1
 
 
-def mc_step(word: Word, member: Callable[[Word], bool], k: int = 2) -> int:
+def mc_step(word: Sequence[int], member: Callable[[Word], bool],
+            k: int = 2) -> int:
     """One step of the generic universal-cycle successor for a window set.
 
     Applies ``pcr3_alt``, then, when the candidate window falls outside the
     set, picks the largest symbol that stays inside (for k = 2, the
     complement).  ``word`` itself must belong to the set; raises ValueError
-    when no symbol keeps the successor inside.
+    when no symbol keeps the successor inside, or for a word that
+    ``words.check_word`` refuses.
     """
+    word = check_word(word, k)
     tail = word[1:]
     x = pcr3_alt(word, k)
     if member(tail + (x,)):
@@ -141,7 +137,8 @@ def threshold_join(params: CutParams) -> Join:
     return _tau(params).__le__
 
 
-def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
+def cut_down_successor(word: Sequence[int], params: CutParams,
+                       cuts: CutSet) -> int:
     """Context-free successor for a cut-down sequence over any alphabet: the
     next symbol is a pure function of the current window.
 
@@ -153,21 +150,18 @@ def cut_down_successor(word: Word, params: CutParams, cuts: CutSet) -> int:
     return kary_step(word, params, cuts, threshold_join(params))
 
 
-def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
+def on_target_cycle(word: Sequence[int], params: CutParams,
+                    cuts: CutSet) -> bool:
     """Is ``word`` a window of the cycle that ``cut_down_successor`` traces?
 
     Those are the windows of weight < m, of weight m and period < h, and of
     weight m and period h whose cycle ``threshold_join`` joins, less the
-    windows of the small cycles the markers cut.  A window whose length is
-    not n, or with a symbol that is not an int in [0, k), raises
-    ValueError, as in ``kary_step``.
+    windows of the small cycles the markers cut.  A window that
+    ``words.check_word`` refuses at length n raises ValueError, as in
+    ``kary_step``.
     """
     k, m, h = params.k, params.m, params.h
-    if len(word) != params.n:
-        raise ValueError(f"window {word} does not have length n = {params.n}")
-    if not all(isinstance(c, int) and 0 <= c < k for c in word):
-        raise ValueError(f"need int symbols in [0, k), not {word!r} and "
-                         f"k = {k}")
+    word = check_word(word, k, params.n)
     w = sum(word)
     if w > m:
         return False
@@ -184,7 +178,7 @@ def on_target_cycle(word: Word, params: CutParams, cuts: CutSet) -> bool:
     return True
 
 
-def kary_step(word: Word, params: CutParams, cuts: CutSet,
+def kary_step(word: Sequence[int], params: CutParams, cuts: CutSet,
               joins: Join) -> int:
     """Next symbol after ``word`` on the cut-down cycle, for any k >= 2.
 
@@ -193,7 +187,8 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
     cycle of period h it reaches from below (passing the candidate window
     packed as in ``pack``), and finally redirects at the markers.  A window
     heavier than m, which is on no cut-down cycle, raises ValueError when
-    the cap is reached; so does a window whose length is not n.
+    the cap is reached; so does a window that ``words.check_word`` refuses
+    at length n.
 
     A sequence starts by default one step after 0^n, in either mode:
     usually at 0^(n-1)(k-1), but for small orders with k-1 >= m that window
@@ -201,8 +196,7 @@ def kary_step(word: Word, params: CutParams, cuts: CutSet,
     start (possibly using a join).
     """
     k, m, h = params.k, params.m, params.h
-    if len(word) != params.n:
-        raise ValueError(f"window {word} does not have length n = {params.n}")
+    word = check_word(word, k, params.n)
     a1 = word[0]
     tail = word[1:]
     w = sum(word)

@@ -1,9 +1,14 @@
 """Primitive operations on fixed-length words over {0, ..., k-1}.
 
-A word is a plain sequence (tuple or list) of small non-negative integers;
-functions that return words return tuples.  Only ``pack`` and
-``format_word`` take the alphabet size, and all functions are pure, so they
-are safe for unrestricted concurrent use.
+A word is a plain sequence (tuple, list or bytes) of small non-negative
+integers; functions that return words return tuples.  All functions are
+pure, so they are safe for unrestricted concurrent use.
+
+The package's argument policy lives here too: ``check_word`` decides what
+counts as a window over {0, ..., k-1}, and every rule entry point in
+``successor``, ``ranking`` and ``engine`` calls it, so each takes any
+sequence of int symbols and refuses any other with one message;
+``check_ints`` does the same for int arguments.
 
 Terminology: a *necklace* is a word that is lexicographically <= every
 rotation of itself, and a *prenecklace* is a prefix of one; the *period*
@@ -22,6 +27,33 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 Word = tuple[int, ...]
+
+
+def check_ints(**args: int) -> None:
+    """Raise ValueError unless every keyword argument is an int; bools pass,
+    as they do in ``engine.verify``."""
+    if not all(isinstance(x, int) for x in args.values()):
+        raise ValueError(f"arguments must be ints, not {args}")
+
+
+def check_word(word: Sequence[int], k: int, n: int | None = None) -> Word:
+    """``word`` as a tuple, once it is a window over {0, ..., k-1}: k is an
+    int >= 2, and ``word`` is non-empty, of length n when n is given, with
+    every symbol an int in [0, k).  Else ValueError.  Bools pass as ints;
+    NumPy ints and floats do not."""
+    try:  # symbols whose sum is an int are ints, which min and max compare
+        ints = isinstance(sum(word), int)
+    except TypeError:  # a symbol that does not add, such as a str
+        ints = False
+    if not (isinstance(k, int) and k >= 2 and ints and len(word) > 0
+            and (n is None or len(word) == n)
+            and min(word) >= 0 and max(word) < k):
+        length = "" if n is None else f" of length n = {n}"
+        raise ValueError(
+            f"{word!r} is not a non-empty word over 0..k-1{length} with int "
+            f"symbols in [0, k): k must be an int >= 2 and the symbols must "
+            f"be ints in [0, {k!r})")
+    return tuple(word)
 
 
 def weight(word: Sequence[int]) -> int:

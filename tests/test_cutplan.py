@@ -112,6 +112,14 @@ def test_marker_word_rejects_uncuttable_sizes():
         marker_word(7, 11)
 
 
+def test_marker_word_rejects_orders_below_1():
+    # these used to return ()
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            marker_word(1, n)
+    assert marker_word(1, 1) == (0,)
+
+
 @pytest.mark.parametrize("n", range(2, 16))
 def test_marker_word_lies_on_its_small_cycle(n):
     # reading n symbols of the infinite repetition of the small-cycle pattern

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cutdown.cutplan import cut_set, derive_params
 from cutdown.engine import SequenceSpec, generate, verify
+from cutdown.ranking import rank_lyndon
 from cutdown.successor import (
     counter_join,
     cut_down_successor,
@@ -230,6 +231,70 @@ def test_window_of_wrong_length_raises():
             kary_step(word, params, cuts, counter_join(params))
         with pytest.raises(ValueError, match="length n = 4"):
             on_target_cycle(word, params, cuts)
+
+
+def _window_entry_points(k):
+    # every rule entry point that takes a window, at alphabet k, with
+    # n = 4 where it reads one: name -> (call, checks the length)
+    params = derive_params(4, 2, 12)._replace(k=k)
+    cuts = cut_set(params.s, 4)
+    return {
+        "pcr3": (pcr3, False),
+        "pcr3_alt": (lambda w: pcr3_alt(w, k), False),
+        "mc_step": (lambda w: mc_step(w, lambda v: True, k), False),
+        "kary_step": (lambda w: kary_step(w, params, cuts,
+                                          counter_join(params)), True),
+        "cut_down_successor": (
+            lambda w: cut_down_successor(w, params, cuts), True),
+        "on_target_cycle": (lambda w: on_target_cycle(w, params, cuts), True),
+        "rank_lyndon": (lambda w: rank_lyndon(w, k), False),
+        "SequenceSpec": (
+            lambda w: SequenceSpec(4, k, 12, "successor", w).start, True),
+    }
+
+
+def _outcome(call, word):
+    try:
+        return call(word)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("name", list(_window_entry_points(2)))
+def test_window_entry_points_take_any_sequence_of_ints(name):
+    # kary_step, cut_down_successor and mc_step used to raise TypeError for
+    # a list or bytes window: they appended a tuple to it
+    call, _ = _window_entry_points(2)[name]
+    for word in product(range(2), repeat=4):
+        expected = _outcome(call, word)
+        assert _outcome(call, list(word)) == expected, word
+        assert _outcome(call, bytes(word)) == expected, word
+    assert _outcome(call, (0, 0, 0, 1)) is not ValueError
+
+
+@pytest.mark.parametrize("name", list(_window_entry_points(2)))
+def test_window_entry_points_refuse_bad_windows_alike(name):
+    # one check, one message, whichever entry point is called
+    call, has_n = _window_entry_points(2)[name]
+    bad = [(), (0, 0, 1.0, 1), (0, "0", 0, 1), "0001", (0, -1, 0, 1),
+           (0, 2, 0, 1)]
+    if has_n:
+        bad += [(0, 0, 1), (0, 0, 0, 1, 0)]
+    for word in bad:
+        with pytest.raises(ValueError, match=r"not a non-empty word over"):
+            call(word)
+    if name != "pcr3":  # pcr3 has no alphabet argument
+        with pytest.raises(ValueError):
+            _window_entry_points(2.5)[name][0]((0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("name", list(_window_entry_points(2)))
+def test_window_entry_points_refuse_numpy_ints(name):
+    np = pytest.importorskip("numpy")
+    call, _ = _window_entry_points(2)[name]
+    for word in ((0, 0, 0, np.int64(1)), np.array([0, 0, 0, 1])):
+        with pytest.raises(ValueError, match=r"not a non-empty word over"):
+            call(word)
 
 
 def test_mc_step_kary_picks_largest_member():

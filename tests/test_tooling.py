@@ -1,7 +1,8 @@
 """Repository-level checks: the demos run, the package keeps its
 invariants under ``python -O``, ``generate | verify`` works through real
-OS pipes, every private helper is used, and the README names only code
-that exists."""
+OS pipes, ``generate`` stops quietly when its reader closes the pipe,
+every private helper is used, and the README names only code that
+exists."""
 
 import ast
 import importlib
@@ -76,6 +77,20 @@ def test_generate_pipes_into_verify(n, k, L, mode, fmt):
         done = subprocess.run([*cli, "generate", *size], env=_env(),
                               capture_output=True, timeout=60)
         assert done.stdout == (CUT_N6_L46 + "\n").encode()
+
+
+def test_generate_into_a_closed_pipe_exits_0_quietly():
+    # a reader that stops early, as `cutdown generate ... | head -c 10`
+    # does, is no error: no traceback and no "error:" line
+    cli = [sys.executable, "-m", "cutdown.cli"]
+    with subprocess.Popen([*cli, "generate", "--n", "22", "--len", "4000000"],
+                          env=_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as gen:
+        assert gen.stdout.read(10) == b"0" * 10
+        gen.stdout.close()
+        err = gen.stderr.read()
+        assert gen.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_every_private_helper_is_used():
