@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
-from .words import Word, check_word, format_word, pack
+from .words import Word, check_word, format_word, pack, rotate
 
 _CHUNK = 8192
 # verify reads an iterable in lists this long: with the growth of the list
@@ -106,6 +106,17 @@ def _blocks(spec: SequenceSpec) -> Iterator[Sequence[int]]:
             else _list_symbols(params, cuts, start, joins))
 
 
+def _block_sizes(L: int) -> Iterator[int]:
+    # the sizes of generate's blocks: each from the second on matches all
+    # symbols made so far, from 64 up to _CHUNK, so a short prefix comes
+    # out early, and block ends still fall on every multiple of _CHUNK
+    made = 0
+    while made < L:
+        block = min(max(made, 64), _CHUNK, L - made)
+        yield block
+        made += block
+
+
 def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     joins: successor.Join) -> Iterator[bytes]:
     # successor.kary_step at k = 2 on packed ints, oldest symbol in the MSB.
@@ -157,13 +168,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
     buf = bytearray()
     append = buf.append
-    # each block from the second on matches all symbols made so far, from 64
-    # up to _CHUNK: a short prefix comes out early, and block ends still
-    # fall on every multiple of _CHUNK
-    remaining = L
-    while remaining:
-        block = min(max(L - remaining, 64), _CHUNK, remaining)
-        remaining -= block
+    for block in _block_sizes(L):
         while block:
             c = cmask & low
             q = top - c.bit_length() if c else top
@@ -332,13 +337,13 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     low = full >> 1
     third = (full + 1) >> 3  # position 2, or 0 at n = 2
     markers = [list(w) for w in cuts.markers]
-    marked = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+    marked = {rotate(w, j) for w in cuts.markers for j in range(n)}
     marker_weights = {sum(w) for w in cuts.markers}
     memo: dict[int, int] = {}  # _tail_starts by least: all masks to n = 12
 
     def scan(window: list[int]) -> tuple[int, int]:
         v = min(window)
-        return v, sum((c == v) << j for j, c in enumerate(reversed(window)))
+        return v, pack([c == v for c in window])
 
     seq = list(start)
     w = sum(start)
@@ -346,10 +351,7 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     hot = tuple(seq) in marked
     cmask = full if hot else _tail_starts(least, n)
     i = 0
-    remaining = L
-    while remaining:
-        block = min(max(L - remaining, 64), _CHUNK, remaining)
-        remaining -= block
+    for block in _block_sizes(L):
         while block:
             c = cmask & low
             q = top - c.bit_length() if c else top

@@ -144,9 +144,12 @@ def cut_down_successor(word: Sequence[int], params: CutParams,
 
     This is ``kary_step`` with ``threshold_join``, so no joined-cycle
     counter is needed; the first call for a parameter set unranks tau.
-    Defined for windows of the target cycle (``on_target_cycle``);
-    elsewhere it returns some symbol in {0, ..., k-1} or raises ValueError.
+    Defined for windows of the target cycle (``on_target_cycle``); a
+    window that ``words.check_word`` refuses at length n raises ValueError
+    before the join is built, and any other returns some symbol in
+    {0, ..., k-1} or raises ValueError.
     """
+    word = check_word(word, params.k, params.n)
     return kary_step(word, params, cuts, threshold_join(params))
 
 
@@ -170,12 +173,11 @@ def on_target_cycle(word: Sequence[int], params: CutParams,
         if p > h or (p == h and
                      pack(least_rotation(word), k) < _tau(params)):
             return False
-    for size in cuts.sizes:
-        cycle = (0,) * (size - 1) + (1,) if size > 1 else (0,)
-        if any(all(c == cycle[(i + j) % size] for i, c in enumerate(word))
-               for j in range(size)):
-            return False
-    return True
+    # the windows of the small cycle [0^(i-1) 1] repeat every i symbols,
+    # and their first i are a rotation of 0^(i-1) 1: with every symbol an
+    # int >= 0, those that sum to 1 (to 0 at i = 1, the all-0 window)
+    return not any(word[i:] == word[:-i] and sum(word[:i]) == (i > 1)
+                   for i in cuts.sizes)
 
 
 def kary_step(word: Sequence[int], params: CutParams, cuts: CutSet,

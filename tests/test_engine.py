@@ -509,7 +509,7 @@ def test_kary_successor_mode_sweep(k, n_max):
             assert verify(seq, n, k, expected_len=L).ok, (k, n, L)
 
 
-@pytest.mark.parametrize("k, n_max", [(3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("k, n_max", [(2, 9), (3, 5), (4, 4), (5, 3)])
 def test_kary_successor_orbit_is_the_target_cycle(k, n_max):
     # the windows the default start visits are exactly the windows
     # on_target_cycle accepts
@@ -568,6 +568,18 @@ def test_kary_output_pinned(k, n_max):
         for L in range(k ** (n - 1) + 1, k ** n + 1):
             digest.update(bytes(generate(SequenceSpec(n=n, k=k, L=L))) + b"|")
     assert digest.hexdigest() == KARY_SHA256[k, n_max]
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec(16, 2, 40000), SequenceSpec(16, 2, 40000, "successor"),
+    SequenceSpec(8, 4, 4 ** 8 - 100)], ids=["k2", "k2-successor", "k4"])
+def test_blocks_double_from_64_up_to_8192(spec):
+    sizes = [len(block) for block in engine._blocks(spec)]
+    growing = [64, 64, 128, 256, 512, 1024, 2048, 4096]
+    assert sizes[:8] == growing
+    full = (spec.L - sum(growing)) // 8192
+    assert sizes[8:] == [8192] * full + [spec.L - sum(growing) - 8192 * full]
+    assert sum(sizes) == spec.L
 
 
 def test_first_symbol_comes_before_a_full_block():

@@ -233,6 +233,14 @@ def test_window_of_wrong_length_raises():
             on_target_cycle(word, params, cuts)
 
 
+def test_cut_down_successor_checks_the_window_before_the_join():
+    # the join under a non-int k would raise count_strings' message
+    params = derive_params(4, 2, 12)._replace(k=2.5)
+    cuts = cut_set(params.s, 4)
+    with pytest.raises(ValueError, match=r"not a non-empty word over"):
+        cut_down_successor((0, 0, 0, 1), params, cuts)
+
+
 def _window_entry_points(k):
     # every rule entry point that takes a window, at alphabet k, with
     # n = 4 where it reads one: name -> (call, checks the length)

@@ -1,8 +1,8 @@
 """Repository-level checks: the demos run, the package keeps its
 invariants under ``python -O``, ``generate | verify`` works through real
 OS pipes, ``generate`` stops quietly when its reader closes the pipe,
-every private helper is used, and the README names only code that
-exists."""
+every private helper is used, the README names only code that exists, and
+``tools/code_lines.py`` counts code lines."""
 
 import ast
 import importlib
@@ -162,3 +162,36 @@ def test_readme_names_exist(section):
     modules["cutdown"] = cutdown
     assert names
     assert sorted(n for n in names if not _exists(n, modules)) == []
+
+
+_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """Docstring."""
+    "a string " "statement"
+    text = """a string
+in an expression"""
+    return (x +
+            1)
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # import, def, the two lines of the assignment and of the return: no
+    # docstring, string statement, comment or blank line
+    (tmp_path / "fixture.py").write_text(_FIXTURE, encoding="utf-8")
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n',
+                                       encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts = [line.split(maxsplit=1) for line in done.stdout.splitlines()]
+    assert counts == [["0", str(tmp_path / "empty.py")],
+                      ["6", str(tmp_path / "fixture.py")], ["6", "total"]]
