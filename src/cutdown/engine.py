@@ -6,7 +6,7 @@
 between the steps that can change a window's class copied in runs:
 ``_binary_symbols`` at k = 2, on packed ints (one machine word for
 n <= 63, a big int beyond), and ``_list_symbols`` with ``_tail_starts``
-for larger k.  README "How it works" explains both.
+and ``_tail_scanner`` for larger k.  README "How it works" explains both.
 
 ``verify``'s marking loop holds only the rolling window value and its
 mark: at n = 22 on Python 3.11 a test for a repeat on every symbol, or
@@ -21,7 +21,7 @@ than dataclasses do; each equals the plain tuple of its fields.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice
 
 from . import successor
@@ -298,6 +298,50 @@ def _tail_starts(least: int, n: int) -> int:
     return ((span >> u) | (span << (n - u))) & full
 
 
+def _tail_scanner(n: int) -> Callable[[int], tuple[int, int]]:
+    # tail_scan(least): what a marked step of _list_symbols compares, from
+    # the positions of the window's least symbol v (MSB = position 0), for
+    # windows of length n, with the masks computed once: the later v that
+    # can start a suffix no larger than the tail's prefix of its length,
+    # and p, the tail's period if none of them is smaller or equal.  The
+    # tail is a prenecklace iff it starts with v and no later v starts a
+    # smaller suffix; the first equal one gives the period.  When the tail
+    # starts with a run of z0 >= 2 v's, a later v whose run is shorter and
+    # ends inside the window starts a larger suffix, so only the starts of
+    # z0-long runs, found by doubling as in _binary_symbols, are kept, and
+    # the first position from 2 on of the trailing run of v, which ends
+    # with the window and can equal the prefix.  The suffix [v] at the
+    # last position equals the prefix, so it sets p to n - 2 and is not
+    # compared.  A marked step that drops a lone v, at position 0, is one
+    # at v (v + 1)^(n - 1) (see _list_symbols), whose tail has period 1.
+    # Any other tail that does not start with v is no prenecklace (p = 0);
+    # only a hot class marks such steps, and kary_step decides them.
+    top = n - 1
+    low = (1 << n) - 1 >> 1
+    first = low + 1  # position 0
+    second = first >> 1
+    third = first >> 2  # 0 at n = 2
+    rest = low >> 1  # positions 2 on
+
+    def tail_scan(least: int) -> tuple[int, int]:
+        if not least & second:
+            return 0, int(least == first)
+        later = least & rest
+        if least & third:  # the tail starts v v
+            z0 = top - (low & ~least).bit_length()
+            starts, z = least, 1
+            while z + z <= z0:
+                starts &= starts << z
+                z += z
+            later &= starts & (starts << (z0 - z))
+            if least & 1:
+                tr = (least ^ (least + 1)).bit_length() - 1
+                later |= (1 << min(tr, top - 1) >> 1) & rest
+        return later & ~1, top - (later & 1)
+
+    return tail_scan
+
+
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
@@ -307,22 +351,19 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     # _binary_symbols, the plain rotations between marks are copied as
     # slices.  least, the positions of v, rotates with cmask; a step that
     # changes a symbol updates it, rescanning only when the last v leaves.
-    # A marked step runs pcr3_alt: the tail seq[i + 1:] is a prenecklace
-    # iff it starts with v and each later v starts a suffix no smaller than
-    # the tail's prefix of its length; the first equal one gives the
-    # period p.  Both start with v, so their second symbols settle most of
-    # these compares, and the slices are built only on a tie; the suffix
-    # [v] at the last position equals the prefix.  When the tail starts
-    # with a run of z0 >= 2 v's, a later v whose run is shorter and ends
-    # inside the window starts a larger suffix, so only the starts of
-    # z0-long runs, found by doubling as in _binary_symbols, are compared,
-    # and the first position from 2 on of the trailing run of v, which
-    # ends with the window and can equal the prefix.  When v is only the
-    # dropped symbol a1, every tail symbol is above v, and pcr3_alt changes
-    # a1 only if c = v + 1, so b = tail[-p] = v + 1, the tail's least
+    # _tail_starts also marks the position after a lone v, where the step
+    # drops v and every tail symbol is above v.  pcr3_alt changes a1 = v
+    # there only if c = v + 1, so b = tail[-p] = v + 1, the tail's least
     # symbol, and p divides n; b also ends the tail's Lyndon prefix, which
-    # it can only if p = 1.  So the window is v (v + 1)^(n - 1), the
-    # lightest such window, and a1 becomes k - 1.
+    # it can only if p = 1.  So only the window v (v + 1)^(n - 1), the
+    # lightest such window, changes there, to k - 1, and every other class
+    # with a lone v drops that mark.  Out of a hot class, every marked tail
+    # thus starts with v.
+    # A marked step runs pcr3_alt: the scan from _tail_scanner, memoised by
+    # least where masks repeat, gives the later v to compare and p's start
+    # value.  A suffix from a later v and the tail's prefix both start with
+    # v, so their second symbols settle most compares, and the slices are
+    # built only on a tie.
     # The symbol stands when it is the dropped one, or keeps the weight
     # below m and lands on no marker (only a candidate of a marker's
     # weight is compared).  A window of weight m keeps a1 in place of a
@@ -335,21 +376,35 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     full = (1 << n) - 1
     top = n - 1
     low = full >> 1
-    third = (full + 1) >> 3  # position 2, or 0 at n = 2
     markers = [list(w) for w in cuts.markers]
     marked = {rotate(w, j) for w in cuts.markers for j in range(n)}
     marker_weights = {sum(w) for w in cuts.markers}
-    memo: dict[int, int] = {}  # _tail_starts by least: all masks to n = 12
+    # the marks and the scan plan, each by least, up to 4,096 masks each.
+    # At n = 10, k = 4 a whole run meets 293 masks at a marked step.  Plans
+    # are stored to n = 64 only: at k = 3..5 storing them gains 2-20% to
+    # n = 64 and nothing at n = 96, and at n = 128 and 512 filling the
+    # dict with plan tuples costs more than the rare hits save
+    keep_plans = n <= 64
+    memo: dict[int, int] = {}
+    plans: dict[int, tuple[int, int]] = {}
+    tail_scan = _tail_scanner(n)
 
     def scan(window: list[int]) -> tuple[int, int]:
         v = min(window)
         return v, pack([c == v for c in window])
 
+    def tail_marks(least: int, w: int, v: int) -> int:
+        # _tail_starts, less the mark after a lone v outside the class of
+        # v (v + 1)^(n - 1), the lone-v window of weight n v + n - 1
+        if least & (least - 1) or w == n * v + top:
+            return _tail_starts(least, n)
+        return least
+
     seq = list(start)
     w = sum(start)
     v, least = scan(seq)
     hot = tuple(seq) in marked
-    cmask = full if hot else _tail_starts(least, n)
+    cmask = full if hot else tail_marks(least, w, v)
     i = 0
     for block in _block_sizes(L):
         while block:
@@ -367,42 +422,29 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                     break
             block -= 1
             a1 = x = seq[i]
-            if not least & low:
-                if w == v + top * (v + 1):  # the window v (v + 1)^(n - 1)
-                    x = k - 1
-            elif seq[i + 1] == v:
-                p = top  # the period of the tail, or 0 if no prenecklace
-                later = least & (low >> 1)
-                if least & third:  # the tail starts v v
-                    z0 = top - (low & ~least).bit_length()
-                    starts, z = least, 1
-                    while z + z <= z0:
-                        starts &= starts << z
-                        z += z
-                    later &= starts & (starts << (z0 - z))
-                    if least & 1:
-                        tr = (least ^ (least + 1)).bit_length() - 1
-                        later |= (1 << min(tr, top - 1) >> 1) & (low >> 1)
-                while later:
-                    b = later.bit_length()  # v at position n - b
-                    later ^= 1 << (b - 1)
-                    if b == 1:  # the suffix [v] equals the prefix
-                        p = top - 1
-                        break
-                    # both start with v, so the next symbols mostly decide
-                    suffix, prefix = seq[1 - b], seq[i + 2]
+            plan = plans.get(least)
+            if plan is None:
+                plan = tail_scan(least)
+                if keep_plans and len(plans) < 4096:
+                    plans[least] = plan
+            later, p = plan  # p: the tail's period, or 0 if no prenecklace
+            while later:
+                b = later.bit_length()  # v at position n - b
+                later ^= 1 << (b - 1)
+                # both start with v, so the next symbols mostly decide
+                suffix, prefix = seq[1 - b], seq[i + 2]
+                if suffix == prefix:
+                    suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
                     if suffix == prefix:
-                        suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
-                        if suffix == prefix:
-                            p = top - b
-                            break
-                    if suffix < prefix:
-                        p = 0
+                        p = top - b
                         break
-                if p:
-                    b = seq[-p]
-                    c = b if b and n % p == 0 else b + 1
-                    x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
+                if suffix < prefix:
+                    p = 0
+                    break
+            if p:
+                b = seq[-p]
+                c = b if b and n % p == 0 else b + 1
+                x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
             if x > a1 and w == m and not hot:
                 x = a1  # the weight cap keeps a weight-m window's class
             if hot or x != a1 and (
@@ -427,8 +469,9 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
             hot = w in marker_weights and tuple(seq[i:]) in marked
             cmask = full if hot else memo.get(least)
             if cmask is None:
-                cmask = _tail_starts(least, n)
-                if len(memo) < 4096:
+                cmask = tail_marks(least, w, v)
+                # a lone v's marks depend on w, so they are not stored
+                if least & (least - 1) and len(memo) < 4096:
                     memo[least] = cmask
         yield seq[:i]
         del seq[:i]

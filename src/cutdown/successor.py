@@ -198,12 +198,14 @@ def kary_step(word: Sequence[int], params: CutParams, cuts: CutSet,
     start (possibly using a join).
     """
     k, m, h = params.k, params.m, params.h
-    word = check_word(word, k, params.n)
+    if len(word) != params.n:
+        check_word(word, k, params.n)  # raises, naming the length
+    x = pcr3_alt(word, k)  # the one check of the symbols
+    word = tuple(word)
     a1 = word[0]
     tail = word[1:]
     w = sum(word)
 
-    x = pcr3_alt(word, k)
     if w - a1 + x >= m:
         if w == m:
             # weight cap degenerates to the in-cycle rotation; the period and

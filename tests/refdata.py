@@ -13,7 +13,9 @@ first position, O(L) memory.  ``weight_period_at_most_reference`` and
 only over the divisors of n.  ``weight_at_most_reference`` is the
 inclusion-exclusion sum at every weight, with no complement.
 ``probe_class_mask_reference`` is the class change that
-``engine._binary_symbols`` computes inline after a necklace probe.
+``engine._binary_symbols`` computes inline after a necklace probe, and
+``tail_period_reference`` the plain period search that the k-ary loop of
+``engine`` filters.
 """
 
 from bisect import bisect_left
@@ -163,3 +165,20 @@ def probe_class_mask_reference(alpha, runs, p, n):
     tz = (alpha & -alpha).bit_length() - 1
     neck = ((alpha << (n - tz)) & full) | (alpha >> tz)
     return split_run(z0 + tz, n - tz), neck
+
+
+def tail_period_reference(window):
+    """The period of the longest Lyndon prefix of the tail window[1:],
+    which starts with its least symbol v, or 0 if the tail is no
+    prenecklace: the suffix from every later v in turn against the tail's
+    prefix of its length, where the first smaller one gives 0 and the
+    first equal one the period; with neither, the tail is Lyndon."""
+    tail = list(window[1:])
+    for j in range(1, len(tail)):
+        if tail[j] == tail[0]:
+            suffix, prefix = tail[j:], tail[:len(tail) - j]
+            if suffix < prefix:
+                return 0
+            if suffix == prefix:
+                return j
+    return len(tail)

@@ -35,6 +35,7 @@ from refdata import (
     DB_N6_K2,
     iterate,
     probe_class_mask_reference,
+    tail_period_reference,
     to_symbols,
     verify_reference,
 )
@@ -710,6 +711,66 @@ def test_tail_starts_equals_the_reference():
         for least in range(1, 1 << n):
             assert (engine._tail_starts(least, n)
                     == tail_starts_reference(least, n)), (n, least)
+
+
+def test_tail_scan_equals_the_plain_period_search():
+    # every window with k <= 5, n <= 11 and k^n <= 3 * 10^5 whose tail
+    # starts with its least symbol v: the later v that the k-ary loop
+    # compares, from the scan of the positions of v that it memoises, and
+    # p's start value give the period of the plain search over every later
+    # v.  The loop compares as here, settling most compares on the symbols
+    # after v
+    windows = 0
+    for k in range(2, 6):
+        for n in range(2, 12):
+            if k ** n > 3 * 10 ** 5:
+                break
+            tail_scan = engine._tail_scanner(n)
+            for window in itertools.product(range(k), repeat=n):
+                v = min(window)
+                if window[1] != v:
+                    continue
+                windows += 1
+                later, p = tail_scan(pack([c == v for c in window]))
+                while later:
+                    b = later.bit_length()  # v at position n - b
+                    later ^= 1 << (b - 1)
+                    suffix, prefix = window[-b:], window[1:b + 1]
+                    if suffix <= prefix:
+                        p = n - 1 - b if suffix == prefix else 0
+                        break
+                assert p == tail_period_reference(window), (k, n, window)
+    assert windows == 216636
+
+
+def test_lone_least_symbol_class_keeps_the_mark_after_it():
+    # a step that drops a lone least symbol v changes it only at the
+    # window v (v + 1)^(n - 1), to k - 1, so the k-ary loop marks that
+    # position only in that window's class.  Successor runs started there,
+    # at every L tried where it is on the target cycle, follow iterated
+    # kary_step, and most of them take the k - 1
+    cases = raised = 0
+    for k in (3, 4, 5):
+        for n in range(2, 7):
+            span = k ** n - k ** (n - 1)
+            for L in {k ** n - j * span // 8 for j in range(8)}:
+                params = derive_params(n, k, L)
+                cuts = cut_set(params.s, n)
+                joins = threshold_join(params)
+                for v in range(k - 1):
+                    word = (v,) + (v + 1,) * (n - 1)
+                    if not on_target_cycle(word, params, cuts):
+                        continue
+                    ref, _ = iterate(
+                        word, lambda w: kary_step(w, params, cuts, joins),
+                        2 * n)
+                    spec = SequenceSpec(n=n, k=k, L=L, mode="successor",
+                                        start=word)
+                    assert (list(itertools.islice(generate(spec), 2 * n))
+                            == ref), (k, n, L, v)
+                    cases += 1
+                    raised += ref[n] == k - 1
+    assert (cases, raised) == (213, 133)
 
 
 def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
