@@ -26,7 +26,8 @@ from itertools import chain, islice
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
-from .words import Word, check_word, format_word, pack, rotate
+from .words import (Word, check_ints, check_word, format_word,
+                    int_symbols, pack, rotate)
 
 _CHUNK = 8192
 # verify reads an iterable in lists this long: with the growth of the list
@@ -312,20 +313,19 @@ def _tail_scanner(n: int) -> Callable[[int], tuple[int, int]]:
     # the first position from 2 on of the trailing run of v, which ends
     # with the window and can equal the prefix.  The suffix [v] at the
     # last position equals the prefix, so it sets p to n - 2 and is not
-    # compared.  A marked step that drops a lone v, at position 0, is one
-    # at v (v + 1)^(n - 1) (see _list_symbols), whose tail has period 1.
-    # Any other tail that does not start with v is no prenecklace (p = 0);
-    # only a hot class marks such steps, and kary_step decides them.
+    # compared.  A tail that does not start with v gets p = 0, which keeps
+    # the symbol, as pcr3_alt does outside the class of v (v + 1)^(n - 1);
+    # only the start window and hot classes mark such steps, and in a hot
+    # class kary_step decides them.
     top = n - 1
     low = (1 << n) - 1 >> 1
-    first = low + 1  # position 0
-    second = first >> 1
-    third = first >> 2  # 0 at n = 2
+    second = low + 1 >> 1  # position 1
+    third = second >> 1  # 0 at n = 2
     rest = low >> 1  # positions 2 on
 
     def tail_scan(least: int) -> tuple[int, int]:
         if not least & second:
-            return 0, int(least == first)
+            return 0, 0
         later = least & rest
         if least & third:  # the tail starts v v
             z0 = top - (low & ~least).bit_length()
@@ -351,14 +351,9 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     # _binary_symbols, the plain rotations between marks are copied as
     # slices.  least, the positions of v, rotates with cmask; a step that
     # changes a symbol updates it, rescanning only when the last v leaves.
-    # _tail_starts also marks the position after a lone v, where the step
-    # drops v and every tail symbol is above v.  pcr3_alt changes a1 = v
-    # there only if c = v + 1, so b = tail[-p] = v + 1, the tail's least
-    # symbol, and p divides n; b also ends the tail's Lyndon prefix, which
-    # it can only if p = 1.  So only the window v (v + 1)^(n - 1), the
-    # lightest such window, changes there, to k - 1, and every other class
-    # with a lone v drops that mark.  Out of a hot class, every marked tail
-    # thus starts with v.
+    # A step that drops a lone v changes it only in the class of
+    # v (v + 1)^(n - 1), which is hot, so a lone v marks only its own
+    # position, and every other marked tail starts with v.
     # A marked step runs pcr3_alt: the scan from _tail_scanner, memoised by
     # least where masks repeat, gives the later v to compare and p's start
     # value.  A suffix from a later v and the tail's prefix both start with
@@ -369,9 +364,9 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     # weight is compared).  A window of weight m keeps a1 in place of a
     # heavier symbol, as kary_step's weight cap does; its candidate is
     # then a rotation of the window, so no marker.  Other steps, and all
-    # while the window is a rotation of a marker (hot), go to
-    # successor.kary_step.  Only kary_step is looked up on the module, at
-    # every call, so a wrapper installed there sees each call.
+    # while the window is a rotation of a marker or of v (v + 1)^(n - 1)
+    # (hot), go to successor.kary_step.  Only kary_step is looked up on the
+    # module, at every call, so a wrapper installed there sees each call.
     n, k, L, m = params.n, params.k, params.L, params.m
     full = (1 << n) - 1
     top = n - 1
@@ -393,18 +388,11 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
         v = min(window)
         return v, pack([c == v for c in window])
 
-    def tail_marks(least: int, w: int, v: int) -> int:
-        # _tail_starts, less the mark after a lone v outside the class of
-        # v (v + 1)^(n - 1), the lone-v window of weight n v + n - 1
-        if least & (least - 1) or w == n * v + top:
-            return _tail_starts(least, n)
-        return least
-
     seq = list(start)
     w = sum(start)
     v, least = scan(seq)
-    hot = tuple(seq) in marked
-    cmask = full if hot else tail_marks(least, w, v)
+    hot = not least & (least - 1) and w == n * v + top or tuple(seq) in marked
+    cmask = full  # as in the binary loop, the start marks every position
     i = 0
     for block in _block_sizes(L):
         while block:
@@ -466,12 +454,15 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 least &= ~1
                 if not least:
                     v, least = scan(seq[i:])
-            hot = w in marker_weights and tuple(seq[i:]) in marked
+            # a lone v in a window of weight n v + n - 1 is v (v + 1)^(n - 1):
+            # the cheaper test, so it comes first
+            hot = (not least & (least - 1) and w == n * v + top
+                   or w in marker_weights and tuple(seq[i:]) in marked)
             cmask = full if hot else memo.get(least)
             if cmask is None:
-                cmask = tail_marks(least, w, v)
-                # a lone v's marks depend on w, so they are not stored
-                if least & (least - 1) and len(memo) < 4096:
+                cmask = (_tail_starts(least, n) if least & (least - 1)
+                         else least)
+                if len(memo) < 4096:
                     memo[least] = cmask
         yield seq[:i]
         del seq[:i]
@@ -512,15 +503,13 @@ class _Spool:
             yield data
         for block in self._blocks:
             # bytes() takes any symbol with __index__, and the later passes
-            # would read it back as an int: so the sum must be an int
+            # would read it back as an int: so the symbols must be ints
+            if not int_symbols(block):
+                raise _not_ints()
             try:
-                if not isinstance(sum(block), int):
-                    raise TypeError
                 data: Sequence[int] | int = bytes(block)
             except ValueError:  # a symbol outside [0, 256)
                 data = block
-            except (TypeError, OverflowError):
-                raise _not_ints() from None
             else:
                 if data and not data.translate(None, b"\x00\x01"):
                     data = int(b"1" + data.translate(_BITS), 2)
@@ -546,11 +535,11 @@ def verify(seq: Iterable[int], n: int, k: int,
     expected_len neither None nor an int, an empty input or a symbol that
     is not an int raises ValueError.
     """
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 2:
-        raise ValueError("need ints n >= 1 and k >= 2")
-    if not (expected_len is None or isinstance(expected_len, int)):
-        raise ValueError(f"expected_len must be an int or None, not "
-                         f"{expected_len!r}")
+    check_ints(n=n, k=k)
+    if expected_len is not None:
+        check_ints(expected_len=expected_len)
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
     if isinstance(seq, _Blocks):
         blocks = seq.blocks
     elif isinstance(seq, Sequence):

@@ -51,8 +51,9 @@ def enumerate_lyndon(n: int, w: int, k: int) -> list[Word]:
     when k^n exceeds ``ORACLE_LIMIT``; this is an oracle for validation,
     not a production enumerator.
     """
-    if not all(isinstance(x, int) for x in (n, w, k)) or n < 1 or k < 2:
-        raise ValueError(f"need ints n >= 1 and k >= 2, not {(n, w, k)}")
+    check_ints(n=n, w=w, k=k)
+    if n < 1 or k < 2:
+        raise ValueError(f"need n >= 1 and k >= 2, not {(n, w, k)}")
     if k ** n > ORACLE_LIMIT:
         raise ValueError(f"k^n = {k ** n} exceeds the oracle limit "
                          f"{ORACLE_LIMIT}")

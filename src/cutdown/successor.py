@@ -74,9 +74,9 @@ def mc_step(word: Sequence[int], member: Callable[[Word], bool],
     when no symbol keeps the successor inside, or for a word that
     ``words.check_word`` refuses.
     """
-    word = check_word(word, k)
+    x = pcr3_alt(word, k)  # checks the window
+    word = tuple(word)
     tail = word[1:]
-    x = pcr3_alt(word, k)
     if member(tail + (x,)):
         return x
     for x in range(k - 1, -1, -1):
@@ -143,14 +143,14 @@ def cut_down_successor(word: Sequence[int], params: CutParams,
     next symbol is a pure function of the current window.
 
     This is ``kary_step`` with ``threshold_join``, so no joined-cycle
-    counter is needed; the first call for a parameter set unranks tau.
-    Defined for windows of the target cycle (``on_target_cycle``); a
-    window that ``words.check_word`` refuses at length n raises ValueError
-    before the join is built, and any other returns some symbol in
-    {0, ..., k-1} or raises ValueError.
+    counter is needed; the first call for a parameter set that asks the
+    join unranks tau.  Defined for windows of the target cycle
+    (``on_target_cycle``); a window that ``words.check_word`` refuses at
+    length n raises ValueError before tau is unranked, and any other
+    returns some symbol in {0, ..., k-1} or raises ValueError.
     """
-    word = check_word(word, params.k, params.n)
-    return kary_step(word, params, cuts, threshold_join(params))
+    # the join reads tau only when kary_step asks it, after the check
+    return kary_step(word, params, cuts, lambda cand: _tau(params) <= cand)
 
 
 def on_target_cycle(word: Sequence[int], params: CutParams,

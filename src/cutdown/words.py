@@ -8,7 +8,8 @@ The package's argument policy lives here too: ``check_word`` decides what
 counts as a window over {0, ..., k-1}, and every rule entry point in
 ``successor``, ``ranking`` and ``engine`` calls it, so each takes any
 sequence of int symbols and refuses any other with one message;
-``check_ints`` does the same for int arguments.
+``check_ints`` does the same for int arguments.  ``check_word`` and
+``engine.verify``'s spool ask ``int_symbols`` whether symbols are ints.
 
 Terminology: a *necklace* is a word that is lexicographically <= every
 rotation of itself, and a *prenecklace* is a prefix of one; the *period*
@@ -24,7 +25,7 @@ extend a word to a necklace.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -36,17 +37,24 @@ def check_ints(**args: int) -> None:
         raise ValueError(f"arguments must be ints, not {args}")
 
 
+def int_symbols(symbols: Iterable[int]) -> bool:
+    """Are all ``symbols`` ints?  Then their sum is an int; a float or a
+    NumPy int makes it something else, and a str, or a NumPy int beside an
+    int beyond 64 bits, makes it raise.  Bools pass as ints."""
+    try:
+        return isinstance(sum(symbols), int)
+    except (TypeError, OverflowError):
+        return False
+
+
 def check_word(word: Sequence[int], k: int, n: int | None = None) -> Word:
     """``word`` as a tuple, once it is a window over {0, ..., k-1}: k is an
     int >= 2, and ``word`` is non-empty, of length n when n is given, with
     every symbol an int in [0, k).  Else ValueError.  Bools pass as ints;
     NumPy ints and floats do not."""
-    try:  # symbols whose sum is an int are ints, which min and max compare
-        ints = isinstance(sum(word), int)
-    except TypeError:  # a symbol that does not add, such as a str
-        ints = False
-    if not (isinstance(k, int) and k >= 2 and ints and len(word) > 0
-            and (n is None or len(word) == n)
+    # once the symbols are ints, min and max compare them
+    if not (isinstance(k, int) and k >= 2 and int_symbols(word)
+            and len(word) > 0 and (n is None or len(word) == n)
             and min(word) >= 0 and max(word) < k):
         length = "" if n is None else f" of length n = {n}"
         raise ValueError(

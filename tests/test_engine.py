@@ -430,11 +430,13 @@ def test_list_loop_class_changes_equal_the_tuple_rule(k, n):
 def test_list_loop_hands_kary_step_only_cap_and_marker_steps(k, n,
                                                             monkeypatch):
     # every L, both modes: the loop calls kary_step only where the window
-    # is a rotation of a marker or pcr3_alt changes the symbol and reaches
-    # the weight cap or a marker (and at 0^n, for the default start and the
-    # splice after the all-0 marker), and it calls pcr3_alt only through
-    # kary_step.  A window of weight m keeps its class, as the cap does,
-    # inline unless it is a rotation of a marker
+    # is a rotation of a marker or of v (v + 1)^(n - 1), or pcr3_alt
+    # changes the symbol and reaches the weight cap or a marker (and at
+    # 0^n, for the default start and the splice after the all-0 marker),
+    # and it calls pcr3_alt only through kary_step.  A window of weight m
+    # keeps its class, as the cap does, inline unless it is a rotation of
+    # a marker.  A full-length run calls kary_step at every rotation of an
+    # on-cycle v (v + 1)^(n - 1)
     calls = {"kary_step": [], "pcr3_alt": 0}
     step, alt = successor.kary_step, successor.pcr3_alt
 
@@ -448,14 +450,20 @@ def test_list_loop_hands_kary_step_only_cap_and_marker_steps(k, n,
 
     monkeypatch.setattr(successor, "kary_step", counted_step)
     monkeypatch.setattr(successor, "pcr3_alt", counted_alt)
+    # the rotations of each v (v + 1)^(n - 1)
+    lone = {(v + 1,) * j + (v,) + (v + 1,) * (n - 1 - j)
+            for v in range(k - 1) for j in range(n)}
     for L in range(k ** (n - 1) + 1, k ** n + 1):
         params = derive_params(n, k, L)
         cuts = cut_set(params.s, n)
-        hot = {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+        hot = lone | {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
         for mode in ("counter", "successor"):
             calls["kary_step"], calls["pcr3_alt"] = [], 0
             collect(SequenceSpec(n=n, k=k, L=L, mode=mode))
             assert calls["pcr3_alt"] == len(calls["kary_step"]), (L, mode)
+            if L == k ** n:
+                assert {w for w in lone if on_target_cycle(w, params, cuts)
+                        } <= set(calls["kary_step"]), mode
             for word in calls["kary_step"]:
                 x = alt(word, k)
                 cand = word[1:] + (x,)

@@ -241,6 +241,14 @@ def test_cut_down_successor_checks_the_window_before_the_join():
         cut_down_successor((0, 0, 0, 1), params, cuts)
 
 
+class OverflowsOnAdd:
+    """A symbol that, like a NumPy int beside an int beyond 64 bits,
+    raises OverflowError when an int is added to it."""
+
+    def __radd__(self, other):
+        raise OverflowError("Python int too large to convert")
+
+
 def _window_entry_points(k):
     # every rule entry point that takes a window, at alphabet k, with
     # n = 4 where it reads one: name -> (call, checks the length)
@@ -285,7 +293,7 @@ def test_window_entry_points_refuse_bad_windows_alike(name):
     # one check, one message, whichever entry point is called
     call, has_n = _window_entry_points(2)[name]
     bad = [(), (0, 0, 1.0, 1), (0, "0", 0, 1), "0001", (0, -1, 0, 1),
-           (0, 2, 0, 1)]
+           (0, 2, 0, 1), (0, 0, OverflowsOnAdd(), 1)]
     if has_n:
         bad += [(0, 0, 1), (0, 0, 0, 1, 0)]
     for word in bad:
@@ -300,7 +308,8 @@ def test_window_entry_points_refuse_bad_windows_alike(name):
 def test_window_entry_points_refuse_numpy_ints(name):
     np = pytest.importorskip("numpy")
     call, _ = _window_entry_points(2)[name]
-    for word in ((0, 0, 0, np.int64(1)), np.array([0, 0, 0, 1])):
+    for word in ((0, 0, 0, np.int64(1)), np.array([0, 0, 0, 1]),
+                 (0, 0, np.int64(1), 2 ** 70)):
         with pytest.raises(ValueError, match=r"not a non-empty word over"):
             call(word)
 
