@@ -8,11 +8,16 @@ between the steps that can change a window's class copied in runs:
 n <= 63, a big int beyond), and ``_list_symbols`` with ``_tail_starts``
 and ``_tail_scanner`` for larger k.  README "How it works" explains both.
 
-``verify``'s marking loop holds only the rolling window value and its
-mark: at n = 22 on Python 3.11 a test for a repeat on every symbol, or
-marking through a generator such as ``_window_values``, made it 15-26%
-slower.  So a repeat is looked for only when the marks count fewer
-distinct windows than symbols, in two more passes.
+``verify`` marks each window's base-k value in one pass: at n = 22 on
+Python 3.11 a test for a repeat on every symbol, or marking through a
+generator such as ``_window_values``, made it 15-26% slower.  So a repeat
+is looked for only when the marks count fewer distinct windows than
+symbols, in two more passes.  At k = 2, 4 and 16, while a window fits
+in 64 bits, the marking pass reads the window values off big ints in
+lanes (``_lane_marker``), the word-level parallelism of shift-or string
+matching (Baeza-Yates and Gonnet, 1992), so a window costs only its
+mark; at any other k or n a loop rolls the window value a symbol at a
+time.
 
 The records here and in ``cutplan`` are named tuples, which import less
 than dataclasses do; each equals the plain tuple of its fields.
@@ -23,6 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice
+from sys import byteorder
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
@@ -33,7 +39,10 @@ _CHUNK = 8192
 # verify reads an iterable in lists this long: with the growth of the list
 # as it fills, a block then stays small beside even a 64 KiB table
 _PIECE = 1024
+_LANE = 4096  # verify's pieces for bytes() and the lanes of _lane_marker
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_BYTES = bytes(range(256))
+_HEX = bytes.maketrans(_BYTES[:16], b"0123456789abcdef")
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -530,7 +539,10 @@ def verify(seq: Iterable[int], n: int, k: int,
     sequence (a list, tuple, range, bytes, array.array and the like) is
     read in place as one block; any other iterable is read in blocks of
     1024 symbols and pickled to a temporary file for those passes, 8
-    symbols a byte where they are all 0 or 1.
+    symbols a byte where they are all 0 or 1.  At k <= 256 the marking
+    pass reads the symbols as bytes, 4096 at a time, and at k = 2, 4 and
+    16 with n log2(k) <= 64 it takes the windows of 4096 symbols from a
+    few big-int operations, with no per-symbol arithmetic.
     Failures are reported, not raised; n or k not an int, n < 1, k < 2,
     expected_len neither None nor an int, an empty input or a symbol that
     is not an int raises ValueError.
@@ -572,30 +584,51 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
     seen: dict[int, int] | bytearray = (
         bytearray(size) if length * 64 >= size else {})
     # One pass marks every window and records the first symbol outside
-    # [0, k) in bad; % size keeps the windows of later ones in the table.
-    # A symbol that is not an int raises TypeError (OverflowError for a
-    # NumPy int beside a big value) in the range check or the table, or
-    # leaves value a non-int (a float, say) for the rest of its block,
-    # which the dict would take, so value is checked once a block.
+    # [0, k) in bad; after that it only checks that the symbols are ints.
+    # At k <= 256 it reads each block as bytes: one translate finds a
+    # symbol out of range, and bytes() raises ValueError at one outside a
+    # byte.  A block that is not bytes is converted _LANE symbols at a
+    # time, element by element, as bytes() of an array would copy its raw
+    # memory.
     head: list[int] = []  # the first n - 1 symbols, for the wraparound
     value = length = bad = 0
+    mark = _lane_marker(n, k, seen)
+    allowed = _BYTES[:k]
+    buf = bytearray()  # from the first window the lanes have not marked
     for block in blocks:
-        try:
-            if not bad and block and (min(block) < 0 or max(block) >= k):
+        raw = isinstance(block, (bytes, bytearray))
+        if not (raw or int_symbols(block)):
+            raise _not_ints()
+        if not bad:
+            it = iter(block)
+            pieces = ((block,) if raw or k > 256
+                      else iter(lambda: bytes(islice(it, _LANE)), b""))
+            try:
+                for piece in pieces:
+                    if (piece.translate(None, allowed) if k <= 256 else
+                            piece and (min(piece) < 0 or max(piece) >= k)):
+                        raise ValueError
+                    symbols = iter(piece)
+                    if len(head) < n - 1:
+                        head += islice(symbols, n - 1 - len(head))
+                        value = pack(head, k)
+                    if mark:
+                        buf += piece
+                        start = 0
+                        while len(buf) - start >= _LANE + n - 1:
+                            value = mark(buf[start:start + _LANE + n - 1])
+                            start += _LANE
+                        del buf[:start]
+                    else:
+                        for c in symbols:
+                            value = (value * k + c) % size
+                            seen[value] = 1
+            except ValueError:  # a symbol outside [0, k)
                 bad = length + next(i for i, c in enumerate(block, 1)
                                     if not 0 <= c < k)
-            symbols = iter(block)
-            if len(head) < n - 1:
-                head += islice(symbols, n - 1 - len(head))
-                value = pack(head, k)
-            for c in symbols:
-                value = (value * k + c) % size
-                seen[value] = 1
-        except (TypeError, OverflowError):
-            raise _not_ints() from None
-        if not isinstance(value, int):
-            raise _not_ints()
         length += len(block)
+    if mark and len(buf) >= n and not bad:
+        value = mark(buf)
     if bad:
         return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
     for value in _wraparound(value, head, n, k):
@@ -606,6 +639,41 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
                  else None)
     ok = duplicate is None and (expected_len is None or length == expected_len)
     return VerifyReport(ok=ok, length=length, first_duplicate=duplicate)
+
+
+def _lane_marker(n: int, k: int, seen: dict[int, int] | bytearray
+                 ) -> Callable[[bytes], int] | None:
+    # mark(data) at k = 2, 4 or 16 (b = log2(k) bits a symbol) while a
+    # window's n b bits fit in 64, else None: it marks in seen the windows
+    # of data, at most _LANE of them, and returns the last one's value.
+    # data is read as one base-k int x.  A lane is width bits, the least of
+    # 8, 16, 32 and 64 that holds a window, so per = width / b symbols; x
+    # shifted by r symbols and masked to the low n b bits of each lane holds
+    # the windows that end r, r + per, r + 2 per, ... symbols before the end
+    # of data, one a lane.  Its bytes, cast to lanes, give their values with
+    # no per-symbol arithmetic.
+    b = k.bit_length() - 1
+    if k not in (2, 4, 16) or n * b > 64:
+        return None
+    width = max(8, 1 << (n * b - 1).bit_length())
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
+    per = width // b
+    window = (1 << n * b) - 1
+    nbytes = _LANE // per * width // 8  # a piece's lanes
+    lanes = int.from_bytes(window.to_bytes(width // 8, "little")
+                           * (_LANE // per), "little")
+
+    def mark(data: bytes) -> int:
+        x = int(data.translate(_HEX), k)
+        windows = len(data) - n + 1
+        for r in range(min(per, windows)):
+            y = (x >> r * b) & lanes
+            for v in memoryview(y.to_bytes(nbytes, byteorder)).cast(code)[
+                    :(windows - r + per - 1) // per]:
+                seen[v] = 1
+        return x & window
+
+    return mark
 
 
 def _not_ints() -> ValueError:

@@ -921,6 +921,23 @@ def test_verify_out_of_range_symbol(monkeypatch):
                 for seq_in in inputs:
                     assert verify(seq_in, 12, k) == want, (k, bad, positions)
     assert not passes
+    # k = 4, with a symbol out of range in a later piece, as a list, a
+    # stream and an array('H'), which must be read by value, not as the raw
+    # bytes of its 2-byte items
+    piece = engine._LANE
+    seq = collect(SequenceSpec(n=8, k=4, L=4 ** 8))
+    assert verify(array("H", seq), 8, 4, expected_len=4 ** 8).ok
+    for pos in (piece + 3, 2 * piece + 5):
+        for bad in (-1, 4, 300):
+            symbols = list(seq)
+            symbols[pos] = bad
+            want = verify_reference(symbols, 8, 4)
+            assert want.out_of_range_symbol == pos + 1
+            inputs = [symbols, iter(symbols)]
+            if bad >= 0:
+                inputs.append(array("H", symbols))
+            for seq_in in inputs:
+                assert verify(seq_in, 8, 4) == want, (pos, bad)
 
 
 def test_verify_length_mismatch():
@@ -990,13 +1007,28 @@ def test_verify_rejects_bad_order_or_alphabet():
                     verify(seq, n, k)
     # a non-int beside an out-of-range symbol, in either order, or in a
     # later block of a stream (above a byte, so the spool keeps the list)
+    # or of blocks read in place, which the spool does not check
     for symbols in ([0.5, 3], [3, 0.5], [3] + [0] * 2000 + [300, 0.5]):
-        for seq in (symbols, iter(symbols)):
+        for seq in (symbols, iter(symbols),
+                    engine._Blocks([symbols[:-2], symbols[-2:]])):
             with pytest.raises(ValueError, match="must be ints"):
                 verify(seq, 1, 2)
     # a symbol above a byte keeps a block out of the spool's bytes()
     with pytest.raises(ValueError, match="must be ints"):
         verify(iter([300, 0.5, 1, 0.5]), 1, 10 ** 12)
+    # k = 4 lists longer than two pieces, with the symbol that is no int in
+    # a later piece: one bytes() would take, and a float after a symbol out
+    # of range, which must not end the checks
+    piece = engine._LANE
+    seq = collect(SequenceSpec(n=8, k=4, L=4 ** 8))[:3 * piece]
+    for planted in ({2 * piece + 5: IndexOnly(1)},
+                    {piece + 3: 4, 2 * piece: 0.5}):
+        symbols = list(seq)
+        for pos, bad in planted.items():
+            symbols[pos] = bad
+        for seq_in in (symbols, iter(symbols)):
+            with pytest.raises(ValueError, match="must be ints"):
+                verify(seq_in, 8, 4)
     assert verify([False, True, True, False], 2, 2).ok
     assert verify(iter([False, True, True, False]), 2, 2).ok
 
@@ -1080,6 +1112,59 @@ def test_verify_equals_reference_on_planted_faults(data):
         assert want.ok
 
 
+@pytest.mark.parametrize("k, n", [(2, n) for n in (1, 8, 9, 16, 17, 32, 33,
+                                                     64, 65)]
+                         + [(4, n) for n in (4, 5, 8, 9, 16)]
+                         + [(16, n) for n in range(1, 6)])
+def test_verify_lanes_equal_the_reference_at_every_edge(monkeypatch, k, n):
+    # the lanes at the edges of their widths (n = 65 at k = 2 is past them,
+    # on the rolling loop), at lengths on either side of a piece of _LANE
+    # symbols, against the reference, with a window copied over the last
+    # window of a piece, one across a piece boundary, one across a block
+    # boundary of a stream and a wraparound window, or over none; as a
+    # list, bytes, a stream, and blocks of bytes as cutdown verify reads
+    # them, of 64 KiB and of 1000 symbols.  A report can hide a window the
+    # lanes drop or mismark where the input repeats one anyway, so the
+    # marks, kept by the spy, must also be exactly the cyclic windows
+    tables = []
+    lane_marker = engine._lane_marker
+
+    def spy(n, k, seen):
+        tables.append(seen)
+        return lane_marker(n, k, seen)
+
+    monkeypatch.setattr(engine, "_lane_marker", spy)
+    piece = engine._LANE
+    # a full sequence, or the longest input's prefix of one
+    full = (list(itertools.islice(generate(SequenceSpec(n=n, k=k, L=k ** n)),
+                                  2 * piece + n)) if n > 1 else list(range(k)))
+    for length in (piece - 1, piece, piece + 1, piece + n - 1,
+                   2 * piece + n):
+        base = list(itertools.islice(itertools.cycle(full), length))
+        for dst in (None, piece - 1, piece - (n + 1) // 2,
+                    3 * 1024 - (n + 1) // 2, length - (n + 1) // 2):
+            seq = list(base)
+            if dst is not None:
+                for j in range(n):
+                    seq[(dst + j) % length] = base[100 + j]
+            want = verify_reference(seq, n, k)
+            windows = set(engine._window_values([seq], n, k))
+            data = bytes(seq)
+            for seq_in in (seq, data, iter(seq),
+                           engine._Blocks([data[i:i + 2 ** 16] for i in
+                                           range(0, length, 2 ** 16)]),
+                           engine._Blocks([data[i:i + 1000] for i in
+                                           range(0, length, 1000)])):
+                tables.clear()
+                assert verify(seq_in, n, k) == want, (length, dst)
+                (seen,) = tables
+                marked = (set(seen) if isinstance(seen, dict)
+                          else len(seen) - seen.count(0))
+                assert marked == (windows if isinstance(seen, dict)
+                                  else len(windows)), (length, dst)
+                assert all(seen[v] for v in windows)
+
+
 def test_verify_reads_arrays_and_ranges_in_place(monkeypatch):
     # neither is spooled, on the accepting or the rejecting path: a
     # temporary file cannot be made here, which only a stream notices
@@ -1137,11 +1222,14 @@ def test_verify_memory_is_bounded_by_the_table():
     # one at k = 257, n = 2 that decides only in its second block
     short = collect(SequenceSpec(n=n, k=2, L=2 ** n - 5))
     wide = collect(SequenceSpec(n=2, k=257, L=257 ** 2))
+    # and a k = 4, n = 8 sequence, on the lanes 16 bits wide
+    seq4 = collect(SequenceSpec(n=8, k=4, L=4 ** 8))
     peaks, reports = [], []
     for symbols, order, k, L in (
             (seq, n, 2, 2 ** n), (bad, n, 2, 2 ** n),
             (generate(spec), n, 2, 2 ** n), (flipped(), n, 2, 2 ** n),
-            (iter(short), n, 2, len(short)), (iter(wide), 2, 257, len(wide))):
+            (iter(short), n, 2, len(short)), (iter(wide), 2, 257, len(wide)),
+            (seq4, 8, 4, 4 ** 8), (iter(seq4), 8, 4, 4 ** 8)):
         tracemalloc.start()
         try:
             reports.append(verify(symbols, order, k, expected_len=L))
@@ -1149,7 +1237,7 @@ def test_verify_memory_is_bounded_by_the_table():
         finally:
             tracemalloc.stop()
     assert reports[0].ok and reports[2].ok and reports[4].ok
-    assert reports[5].ok
+    assert reports[5].ok and reports[6].ok and reports[7].ok
     assert reports[1] == verify_reference(bad, n, 2, expected_len=2 ** n)
     assert reports[3] == reports[1]
     assert not reports[1].ok and reports[1].first_duplicate is not None
