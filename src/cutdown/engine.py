@@ -149,20 +149,35 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # can be a necklace only where _tail_starts would mark position t + 1.
     # cmask holds marks that cover those positions, MSB = position 0; steps
     # at other positions are plain rotations.  A class change after a
-    # necklace probe lands on the probe or on the probe with its last 1
-    # cleared, and takes the new marks and neck, the class's necklace, from
-    # what the probe test found: its other runs of 0s as long as its
-    # leading ones (runs) and its period p.  A single longest run of z is
-    # marked at its first (z + 1) // 2 + 1 positions
-    # (probe_class_mask_reference in tests/refdata.py spells it out).  A
-    # marked step that drops a 1 probes the window turned by one, so where
-    # neck is known it is one comparison; with several longest runs only
-    # the multiples of p are marked, as every other run start probes a
-    # rotation that is not the necklace.  The start window and the rare
-    # other class changes mark every position and leave neck unknown (0):
-    # the all-0 window, the two windows after the all-1 probe, the
-    # rotations of a marker, where a redirect can fire at any step, and
-    # marker redirects after a failed probe.
+    # necklace probe lands on the probe (up: the probe dropped a 0) or on
+    # the probe with its last 1 cleared (down: it dropped a 1).  The
+    # classes form a tree, a class's parent being that of its necklace
+    # with the last 1 cleared, so a step down from a class entered by a
+    # step up lands on the window that step left, turned by one.  So a
+    # step up pushes the class it leaves on stack: its marks turned by
+    # one, neck (its necklace) and z2.  It takes the new marks and neck
+    # from what the probe test found: the probe's other runs of 0s as long
+    # as its leading ones (runs) and its period p.  A step down pops them.
+    # With several longest runs only the multiples of p are marked, as
+    # every other run start probes a rotation that is not the necklace.  A
+    # single longest run of z is marked at positions 0..c: the probe at u
+    # drops a 0 of that run, leads with z - u 0s and keeps the class's
+    # other runs, so c = min((z + 1) // 2, z - z2), where z2 is a lower
+    # bound on the longest run of 0s after the leading one: the class left
+    # keeps its own, and the probe adds the u - 1 0s before its last 1.
+    # At weight m the cap keeps every 0, so only the multiples of p, where
+    # a 1 drops, are marked (probe_class_mask_reference in tests/refdata.py
+    # spells the marks out).  A marked step that drops a 1 probes the
+    # window turned by one, so where neck is known it is one comparison.
+    # The start window and the rare other class changes mark every
+    # position, leave neck unknown (0), set z2 = 0 and empty stack: the
+    # all-0 window, the two windows after the all-1 probe, the rotations of
+    # a marker, where a redirect can fire at any step, and marker redirects
+    # after a failed probe.  A step down with stack empty takes the marks
+    # of the one longest run that clearing the 1 makes; z2 stays 0, as
+    # every class met with stack empty is reached from such a fallback by
+    # steps down.  Missing knowledge only widens the marks, so the symbols
+    # are the same either way.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -174,7 +189,8 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
               for r in markers for j in range(n)}
 
     alpha = start
-    cmask, neck = mask, 0
+    cmask, neck, z2 = mask, 0, 0
+    stack: list[tuple[int, int, int]] = []
     # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
     buf = bytearray()
     append = buf.append
@@ -244,14 +260,26 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             elif p and 0 < alpha <= low and alpha not in marked:
                 # alpha is the probe or the probe with its last 1 cleared
                 if alpha & 1:
-                    # the multiples of p, or the first c + 1 positions of a
-                    # single longest run, the leading one
+                    # up into the probe's class
+                    stack.append((((cmask << 1) & mask) | (cmask >> top),
+                                  neck, z2))
                     neck = alpha
-                    if runs:
+                    if runs or w == m - 1:
+                        # the multiples of p: with several longest runs, or
+                        # at weight m, where the cap keeps every 0
                         cmask = mask // ((1 << p) - 1) << (p - 1)
                     else:
-                        c = (n - alpha.bit_length() + 1) >> 1
+                        # a single longest run of z; the probe keeps the
+                        # other runs of the class left and adds the u - 1
+                        # 0s before its last 1
+                        z = n - alpha.bit_length()
+                        before = (shifted & -shifted).bit_length() - 2
+                        if before > z2:
+                            z2 = before
+                        c = min((z + 1) >> 1, z - z2)
                         cmask = ((2 << c) - 1) << (top - c)
+                elif stack:
+                    cmask, neck, z2 = stack.pop()
                 else:
                     # clearing the last 1 joins the tz 0s before it to the
                     # leading run: one longest run, from n - tz, where the
@@ -262,7 +290,8 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     span = ((2 << c) - 1) << (top - c)
                     cmask = ((span << tz) & mask) | (span >> (n - tz))
             else:
-                cmask, neck = mask, 0
+                cmask, neck, z2 = mask, 0, 0
+                stack.clear()
         yield buf.translate(_DIGITS)
         buf.clear()
 
@@ -493,7 +522,9 @@ class _Spool:
     that every iteration after the first replays them and then reads on.
     A block of 0s and 1s is written as an int, 8 symbols a byte: its bits
     after a leading 1, which keeps the length.  Any other block whose
-    symbols all fit in a byte is written as bytes, any other as it is."""
+    symbols all fit in a byte is written as bytes, any other as it is.
+    A block whose symbols fit in a byte is also yielded as those bytes, so
+    the marking pass reads it without converting it again."""
 
     def __init__(self, blocks: Iterator[Sequence[int]], file) -> None:
         self._blocks = blocks
@@ -516,12 +547,13 @@ class _Spool:
             if not int_symbols(block):
                 raise _not_ints()
             try:
-                data: Sequence[int] | int = bytes(block)
+                block = bytes(block)
             except ValueError:  # a symbol outside [0, 256)
-                data = block
+                data: Sequence[int] | int = block
             else:
-                if data and not data.translate(None, b"\x00\x01"):
-                    data = int(b"1" + data.translate(_BITS), 2)
+                data = block
+                if block and not block.translate(None, b"\x00\x01"):
+                    data = int(b"1" + block.translate(_BITS), 2)
             pickle.dump(data, file)
             yield block
 
@@ -588,8 +620,8 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
     # At k <= 256 it reads each block as bytes: one translate finds a
     # symbol out of range, and bytes() raises ValueError at one outside a
     # byte.  A block that is not bytes is converted _LANE symbols at a
-    # time, element by element, as bytes() of an array would copy its raw
-    # memory.
+    # time: a list or tuple by slices, any other element by element, as
+    # bytes() of an array or a memoryview would copy its raw memory.
     head: list[int] = []  # the first n - 1 symbols, for the wraparound
     value = length = bad = 0
     mark = _lane_marker(n, k, seen)
@@ -600,9 +632,14 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         if not (raw or int_symbols(block)):
             raise _not_ints()
         if not bad:
-            it = iter(block)
-            pieces = ((block,) if raw or k > 256
-                      else iter(lambda: bytes(islice(it, _LANE)), b""))
+            if raw or k > 256:
+                pieces = (block,)
+            elif isinstance(block, (list, tuple)):
+                pieces = (bytes(block[i:i + _LANE])
+                          for i in range(0, len(block), _LANE))
+            else:
+                it = iter(block)
+                pieces = iter(lambda: bytes(islice(it, _LANE)), b"")
             try:
                 for piece in pieces:
                     if (piece.translate(None, allowed) if k <= 256 else

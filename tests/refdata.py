@@ -133,38 +133,52 @@ def derive_params_reference(n, k, L):
     return CutParams(n=n, k=k, L=L, m=m, h=h, t=t, s=base + t * h - L)
 
 
-def probe_class_mask_reference(alpha, runs, p, n):
-    """The marks and the necklace of the class of a binary window alpha
+def probe_class_mask_reference(alpha, runs, p, n, z2=0, top_weight=False):
+    """The marks, the necklace and z2 of the class of a binary window alpha
     (MSB = position 0) that ``engine._binary_symbols`` reaches from a
     necklace probe of period p, whose leading z0 >= 1 0s recur at runs,
     the starts of its other z0-long runs: alpha is the probe, or the probe
-    with its last 1 cleared.
+    with its last 1 cleared.  z2 is a lower bound on the longest run of 0s
+    after the leading run of the class left, and top_weight says the probe
+    has the weight m of the cap.
 
     A necklace begins with its longest run of 0s, so the probe's longest
     runs start at position 0 and at runs.  With several, every tail that
     can be a prenecklace starts at one of them and drops the 1 before it,
     so it is a rotation of the probe, and a necklace only where that
     rotation is the probe: at the multiples of p.  With a single longest
-    run of z from position u, the marks are that run's first
-    (z + 1) // 2 + 1 positions.  Clearing the last 1 joins it and the tz
-    0s before it to the leading run: a single longest run of z0 + tz 0s,
-    from position n - tz, where the necklace starts.  runs and p are read
-    for the probe only."""
+    run of z from position 0, a mark u > 0 drops a 0 of that run, and its
+    probe leads with z - u 0s, ends with u - 1 0s and a 1, and keeps the
+    class's other runs.  So the marks are positions 0 to the least of
+    (z + 1) // 2 and z - z2, where the probe's own z2 is the larger of the
+    z2 of the class left (whose other runs it keeps) and the run of 0s
+    before its last 1.  At weight m the cap keeps every symbol a probe
+    would raise, so only the positions that drop a 1, the multiples of p,
+    are marked.  Clearing the last 1 joins it and the tz 0s before it to
+    the leading run: a single longest run of z0 + tz 0s, from position
+    n - tz, where the necklace starts, whose other runs are not known, so
+    z2 is 0 and its marks are that run's first (z + 1) // 2 + 1
+    positions.  runs, p, z2 and top_weight are read for the probe only."""
     full = (1 << n) - 1
 
-    def split_run(z, u):
-        c = (z + 1) // 2
+    def split_run(c, u):
         span = ((2 << c) - 1) << (n - 1 - c)  # positions 0..c
         return ((span >> u) | (span << (n - u))) & full
 
     z0 = n - alpha.bit_length()
     if alpha & 1:
-        if runs:
-            return full // ((1 << p) - 1) << (p - 1), alpha
-        return split_run(z0, 0), alpha
+        if runs or top_weight:
+            return full // ((1 << p) - 1) << (p - 1), alpha, z2
+        bits = [alpha >> (n - 1 - j) & 1 for j in range(n)]
+        inner = bits[z0 + 1:-1]  # between the first and the last 1
+        before = 0
+        while before < len(inner) and not inner[-1 - before]:
+            before += 1
+        z2 = max(z2, before)
+        return split_run(min((z0 + 1) // 2, z0 - z2), 0), alpha, z2
     tz = (alpha & -alpha).bit_length() - 1
     neck = ((alpha << (n - tz)) & full) | (alpha >> tz)
-    return split_run(z0 + tz, n - tz), neck
+    return split_run((z0 + tz + 1) // 2, n - tz), neck, 0
 
 
 def tail_period_reference(window):

@@ -579,6 +579,31 @@ def test_kary_output_pinned(k, n_max):
     assert digest.hexdigest() == KARY_SHA256[k, n_max]
 
 
+# sha256 of the first 10^5 symbols at wide n, L = 2^n - 2^(n-1) / 3, as
+# emitted before the binary loop kept the classes it climbs through on a
+# stack: that path does most of its work here, where the property tests
+# draw few examples
+WIDE_SHA256 = {
+    (64, "counter"):
+        "1881e564f8f7a2d6d2101eca7e6a16e128ad04f74ad47deabd695f7a99a8c2c1",
+    (256, "counter"):
+        "bee4e03cc5beee1ae17b76bde5bfea8bacb87108f6182117dce3e176a5636306",
+    (1024, "counter"):
+        "8c2bf0fe042f9cb50f51945e99fb9806c7ce2826dbf8206311cbf0fe24a1f637",
+    (64, "successor"):
+        "d3a10746ad9225c7a62a080d79222bba185c144f2fdff4e13a6457a13ba3dc52",
+    (128, "successor"):
+        "c044e1fef5e3ebe02d630a11d69b5fcdc60c03de96ff9b2d8756c330a6c14cda",
+}
+
+
+@pytest.mark.parametrize("n, mode", WIDE_SHA256)
+def test_wide_binary_prefix_pinned(n, mode):
+    spec = SequenceSpec(n=n, k=2, L=2 ** n - 2 ** (n - 1) // 3, mode=mode)
+    head = bytes(itertools.islice(generate(spec), 10 ** 5))
+    assert hashlib.sha256(head).hexdigest() == WIDE_SHA256[n, mode]
+
+
 @pytest.mark.parametrize("spec", [
     SequenceSpec(16, 2, 40000), SequenceSpec(16, 2, 40000, "successor"),
     SequenceSpec(8, 4, 4 ** 8 - 100)], ids=["k2", "k2-successor", "k4"])
@@ -650,6 +675,13 @@ def test_full_length_window_sets_complete():
         assert len(windows) == k ** n
 
 
+def zero_runs_after_lead(window):
+    # the lengths of the runs of 0s between the first and the last 1 of a
+    # window that ends with 1: the last is the run before the last 1
+    text = "".join(map(str, window)).lstrip("0")
+    return [len(run) for run in text.split("1")[1:-1]]
+
+
 def test_probe_class_marks_hold_every_necklace_probe():
     # every binary necklace probe to n = 14 (leading 0, last 1), and the
     # two windows a class change reaches from it: the probe and the probe
@@ -658,8 +690,13 @@ def test_probe_class_marks_hold_every_necklace_probe():
     # at j with its last symbol set to 1.  The marks lie within
     # _tail_starts and hold every necklace probe; a marked step that drops
     # a 1 probes a rotation of the window, so the loop decides it by one
-    # comparison with the class necklace, which must then be a necklace
-    cases = 0
+    # comparison with the class necklace, which must then be a necklace.
+    # The probe is entered with z2 = 0 and with the exact z2 of the class
+    # it leaves (its other runs but the one before its last 1); the latter
+    # gives the probe's exact z2.  At weight m the probe's class marks only
+    # the steps that drop a 1 and probe its necklace: position 0 alone
+    # where it is aperiodic
+    cases = top_cases = 0
     for n in range(2, 15):
         full = (1 << n) - 1
         for probe in range(1, 1 << (n - 1), 2):
@@ -671,24 +708,41 @@ def test_probe_class_marks_hold_every_necklace_probe():
             runs = zeros & (full >> 1)  # other starts of z0 0s
             for j in range(1, z0):
                 runs &= ((zeros << j) & full) | (zeros >> (n - j))
-            for alpha in (probe, probe - 1):
-                if not alpha:
-                    continue
+            p = period(bits)
+            other = zero_runs_after_lead(bits)
+            left_z2 = max(other[:-1], default=0)
+            exact = max(other, default=0)
+            down = probe - 1
+            entries = [(probe, z2, False) for z2 in (0, left_z2)]
+            entries += [(probe, 0, True)] + [(down, 0, False)] * (down > 0)
+            for alpha, z2, top_weight in entries:
                 cases += 1
-                marks, neck = probe_class_mask_reference(alpha, runs,
-                                                         period(bits), n)
+                marks, neck, z2_out = probe_class_mask_reference(
+                    alpha, runs, p, n, z2, top_weight)
                 window = [alpha >> (n - 1 - j) & 1 for j in range(n)]
                 assert neck == pack(least_rotation(window)), (n, alpha)
                 assert not marks & ~engine._tail_starts(full ^ alpha, n), (
                     n, alpha)
+                if alpha & 1 and not runs and not top_weight:
+                    assert z2_out <= exact, (n, alpha, z2)
+                    assert z2 < left_z2 or z2_out == exact, (n, alpha)
+                elif not alpha & 1:
+                    assert z2_out == 0, (n, alpha)
                 for j in range(n):
                     turned = window[j:] + window[:j]
                     necklace = is_necklace(turned[:-1] + [1])
                     marked = marks >> (n - 1 - j) & 1
-                    assert marked or not necklace, (n, alpha, j)
+                    if top_weight:
+                        assert marked == bool(necklace and turned[-1]), (
+                            n, alpha, j)
+                    assert marked or not necklace or top_weight, (
+                        n, alpha, j)
                     assert necklace or not (marked and turned[-1]), (
                         n, alpha, j)
-    assert cases == 5161
+                if top_weight:
+                    top_cases += 1
+                    assert p < n or marks == 1 << (n - 1), (n, alpha)
+    assert (cases, top_cases) == (10335, 2587)
 
 
 def tail_starts_reference(least, n):
@@ -783,16 +837,24 @@ def test_lone_least_symbol_class_keeps_the_mark_after_it():
 
 def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     # a class change after a necklace probe takes its marks and necklace
-    # from the probe, in a block inline in the binary loop, and the loop
-    # never calls _tail_starts.  A tracer on the loop's frame reads
-    # (alpha, runs, p) where that block starts and (cmask, neck) where it
-    # ends, and each pair must be probe_class_mask_reference's; it counts
-    # the other class changes, which mark every position: the all-0
-    # window, the two windows after the all-1 probe, and marker redirects,
-    # which fire at most once from each of the two windows before a
-    # marker.  At n = 9, 12 and 16 the loop enters classes with several
-    # longest runs of 0s and a period p < n, marked at the multiples of p
-    # only, and still follows the tuple rule
+    # from the probe, or, on the way back down, from the stack of classes
+    # the walk climbed through, in a block inline in the binary loop, and
+    # the loop never calls _tail_starts.  A tracer on the loop's frame
+    # reads (alpha, runs, p, z2, the weight, the stack) where that block
+    # starts and (cmask, neck, z2, the stack) where it ends.  A step up
+    # pushes one entry and must give probe_class_mask_reference's marks; a
+    # step down pops one, where there is one, and restores its class:
+    # neck is alpha's least rotation, the marks hold every necklace probe
+    # of that class, and z2 is no longer than its runs of 0s after the
+    # leading run; with the stack empty it gives the reference's marks.
+    # The tracer counts the other class changes, which mark every position
+    # and clear the stack: the all-0 window, the two windows after the
+    # all-1 probe, and marker redirects, which fire at most once from each
+    # of the two windows before a marker.  At n = 9, 12 and 16 the loop
+    # enters classes with several longest runs of 0s and a period p < n,
+    # marked at the multiples of p only, and still follows the tuple rule
+    tail_starts_of = engine._tail_starts
+
     def tail_starts(least, n):
         raise AssertionError("the binary loop called _tail_starts")
 
@@ -803,7 +865,7 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     lines, first = inspect.getsourcelines(engine._binary_symbols)
     text = [line.strip() for line in lines]
     enter = text.index("elif p and 0 < alpha <= low and alpha not in marked:")
-    fallback = text.index("cmask, neck = mask, 0", enter)
+    fallback = text.index("cmask, neck, z2 = mask, 0, 0", enter)
     assert text[fallback - 1] == "else:"
     enter += first
     fallback += first
@@ -812,24 +874,28 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
     def trace_line(frame, event, arg):
         if event != "line":
             return trace_line
+        f = frame.f_locals
         if enter < frame.f_lineno < fallback:
             if not served or len(served[-1]) == 2:
-                f = frame.f_locals
-                served.append([(f["alpha"], f["runs"], f["p"], f["n"])])
+                served.append([(f["alpha"], f["runs"], f["p"], f["n"],
+                                f["z2"], f.get("w"), f["m"],
+                                len(f["stack"]))])
         elif served and len(served[-1]) == 1:
-            f = frame.f_locals
-            served[-1].append((f["cmask"], f["neck"]))
+            served[-1].append((f["cmask"], f["neck"], f["z2"],
+                               len(f["stack"])))
         elif frame.f_lineno == fallback:
-            fallbacks.append(frame.f_locals["alpha"])
+            fallbacks.append(f["alpha"])
         return trace_line
 
     def trace_call(frame, event, arg):
         return trace_line if frame.f_code is code else None
 
+    restores = []
     for n, L in ((9, 2 ** 9), (12, 3000), (13, 7168), (16, 40000),
                  (16, 2 ** 15 + 1)):
         params = derive_params(n, 2, L)
         cuts = cut_set(params.s, n)
+        full = (1 << n) - 1
         for mode in ("counter", "successor"):
             joins = (counter_join if mode == "counter"
                      else threshold_join)(params)
@@ -844,16 +910,51 @@ def test_binary_loop_takes_class_marks_from_the_probe(monkeypatch):
             ref, _ = iterate(start_after_zero(params, cuts, joins),
                              lambda w: kary_step(w, params, cuts, joins), L)
             assert seq == ref, (n, L, mode)
-            for args, got in served:
-                assert got == probe_class_mask_reference(*args), (
-                    n, L, mode, args, got)
+            popped = emptied = 0
+            for (alpha, runs, p, _, z2, w, m, depth), got in served:
+                marks, neck, z2_out, depth_out = got
+                if alpha & 1:
+                    assert depth_out == depth + 1, (n, L, mode, alpha)
+                    assert got[:3] == probe_class_mask_reference(
+                        alpha, runs, p, n, z2, w == m - 1), (
+                        n, L, mode, alpha, got)
+                elif not depth:
+                    emptied += 1
+                    assert depth_out == 0, (n, L, mode, alpha)
+                    assert got[:3] == probe_class_mask_reference(
+                        alpha, runs, p, n), (n, L, mode, alpha, got)
+                else:
+                    popped += 1
+                    assert depth_out == depth - 1, (n, L, mode, alpha)
+                    if not neck:  # a class entered by a fallback
+                        assert (marks, z2_out) == (full, 0), (
+                            n, L, mode, alpha)
+                        continue
+                    window = [alpha >> (n - 1 - j) & 1 for j in range(n)]
+                    necklace = least_rotation(window)
+                    assert neck == pack(necklace), (n, L, mode, alpha)
+                    assert not marks & ~tail_starts_of(full ^ alpha, n), (
+                        n, L, mode, alpha)
+                    assert z2_out <= max(zero_runs_after_lead(necklace),
+                                         default=0), (
+                        n, L, mode, alpha)
+                    for j in range(n):
+                        turned = window[j:] + window[:j]
+                        assert (marks >> (n - 1 - j) & 1
+                                or not is_necklace(turned[:-1] + [1])), (
+                            n, L, mode, alpha, j)
             changes = sum(seq[t] != seq[(t + n) % L] for t in range(L))
             assert changes == len(served) + len(fallbacks), (n, L, mode)
             assert changes - len(served) <= 4 + 2 * len(cuts.markers), (
                 n, L, mode, changes, len(served))
             assert n == 13 or any(alpha & 1 and runs and p < n
-                                  for (alpha, runs, p, _), _ in served), (
+                                  for (alpha, runs, p, *_), _ in served), (
                 n, L, mode)
+            restores.append((popped, emptied))
+    # the steps down that restore their class from the stack, and those
+    # that find it empty after a fallback, per (n, L) and mode
+    assert restores == [(50, 7)] * 2 + [(254, 0)] * 2 + [(543, 5)] * 2 + [
+        (2506, 4)] * 2 + [(2058, 0)] * 2, restores
 
 
 # --- verify ---------------------------------------------------------------
