@@ -5,8 +5,10 @@
 ``generate``, each ``successor.kary_step`` with the plain rotations
 between the steps that can change a window's class copied in runs:
 ``_binary_symbols`` at k = 2, on packed ints (one machine word for
-n <= 63, a big int beyond), and ``_list_symbols`` with ``_tail_starts``
-and ``_tail_scanner`` for larger k.  README "How it works" explains both.
+n <= 63, a big int beyond), which records only the steps that change a
+symbol and builds each block from them in a few big-int operations, and
+``_list_symbols`` with ``_tail_starts`` and ``_tail_scanner`` for larger
+k.  README "How it works" explains both.
 
 ``verify`` marks each window's base-k value in one pass: at n = 22 on
 Python 3.11 a test for a repeat on every symbol, or marking through a
@@ -97,7 +99,7 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 
 
 def _blocks(spec: SequenceSpec) -> Iterator[Sequence[int]]:
-    # generate's blocks: bytes-like for k = 2, lists for larger k, from 64
+    # generate's blocks: bytes for k = 2, lists for larger k, from 64
     # up to _CHUNK symbols.  All set-up runs here, before the loop starts.
     params = derive_params(spec.n, spec.k, spec.L)
     cuts = cut_set(params.s, params.n)
@@ -143,8 +145,16 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # Only a necklace probe that adds a 1 can reach the weight cap, so only
     # that step counts the window's weight.
     #
+    # Symbol t + n of a block is symbol t unless step t changed it, and
+    # only a class change does.  So a block records its first window,
+    # head, and a flag for each step that changes a symbol.  At its end
+    # the bits of head followed by the flags, less their last n, are
+    # xored with themselves shifted by n, 2n, 4n, ..., which carries each
+    # change on to every later symbol it reaches.  The flags cut off fall
+    # past the block; the next block's head holds their changes.
+    #
     # Between necklace probes the window only rotates, so such runs of
-    # steps are copied out of the window in one go.  The probe at step t is
+    # steps only rotate alpha and cmask, in one go.  The probe at step t is
     # the window rotated to start at position t + 1 with bit t set, so it
     # can be a necklace only where _tail_starts would mark position t + 1.
     # cmask holds marks that cover those positions, MSB = position 0; steps
@@ -191,17 +201,16 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     alpha = start
     cmask, neck, z2 = mask, 0, 0
     stack: list[tuple[int, int, int]] = []
-    # symbols go out as bytes: 0/1 from single steps, ASCII digits from runs
-    buf = bytearray()
-    append = buf.append
-    for block in _block_sizes(L):
+    for size in _block_sizes(L):
+        head = alpha
+        flips = bytearray(size)  # 1 at each step that changes the symbol
+        block = size
         while block:
             c = cmask & low
             q = top - c.bit_length() if c else top
             if q > block:
                 q = block
             if q:
-                buf += bin((alpha >> (n - q)) | (1 << q))[3:].encode()
                 alpha = ((alpha << q) & mask) | (alpha >> (n - q))
                 cmask = ((cmask << q) & mask) | (cmask >> (n - q))
                 block -= q
@@ -209,7 +218,6 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     break
             block -= 1
             a1 = alpha >> top
-            append(a1)
             shifted = (alpha << 1) & mask
             # p := period of probe = shifted|1 if it is a necklace, else 0
             if a1 and neck:
@@ -258,6 +266,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             if alpha == shifted | a1:
                 cmask = ((cmask << 1) & mask) | (cmask >> top)
             elif p and 0 < alpha <= low and alpha not in marked:
+                flips[~block] = 1
                 # alpha is the probe or the probe with its last 1 cleared
                 if alpha & 1:
                     # up into the probe's class
@@ -291,9 +300,20 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                     cmask = ((span << tz) & mask) | (span >> (n - tz))
             else:
                 cmask, neck, z2 = mask, 0, 0
+                flips[~block] = 1
                 stack.clear()
-        yield buf.translate(_DIGITS)
-        buf.clear()
+        out = (head << size | int(flips.translate(_BITS), 2)) >> n
+        shift = n
+        while shift < size:
+            out ^= out >> shift
+            shift += shift
+        yield _bit_symbols(out | 1 << size)
+
+
+def _bit_symbols(bits: int) -> bytes:
+    # the bits of an int after its leading 1, which keeps their number, as
+    # the symbols 0 and 1
+    return bin(bits)[3:].encode().translate(_DIGITS)
 
 
 def _tail_starts(least: int, n: int) -> int:
@@ -539,7 +559,7 @@ class _Spool:
         while file.tell() < end:
             data = pickle.load(file)
             if isinstance(data, int):
-                data = bin(data)[3:].encode().translate(_DIGITS)
+                data = _bit_symbols(data)
             yield data
         for block in self._blocks:
             # bytes() takes any symbol with __index__, and the later passes

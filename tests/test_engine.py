@@ -604,6 +604,48 @@ def test_wide_binary_prefix_pinned(n, mode):
     assert hashlib.sha256(head).hexdigest() == WIDE_SHA256[n, mode]
 
 
+# sha256 of the benchmark's binary shapes, as emitted before the binary
+# loop built its blocks from the steps that change a symbol: the whole
+# counter run at n = 22 and the first 5 * 10^5 symbols in successor mode
+# at n = 28
+BENCH_SHA256 = {
+    (SequenceSpec(22, 2, 3_550_000), None):
+        "5cec36f72478bfcc12b5716d634b806d38a6a58b4c0c8b5a222ad84e8224c22c",
+    (SequenceSpec(28, 2, 205_000_000, "successor"), 5 * 10 ** 5):
+        "d4d8c55537735c42ef85c4cd068be288b70d0cef271a604733408d28b2dfabe3",
+}
+
+
+@pytest.mark.parametrize("spec, count", BENCH_SHA256,
+                         ids=["counter-22", "successor-28"])
+def test_benchmark_binary_shapes_pinned(spec, count):
+    head = bytes(itertools.islice(generate(spec), count))
+    assert hashlib.sha256(head).hexdigest() == BENCH_SHA256[spec, count]
+
+
+@pytest.mark.parametrize("mode", ["counter", "successor"])
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_binary_blocks_at_their_edges_equal_the_tuple_rule(n, mode):
+    # a binary block is its first window and, from there, symbol t + n is
+    # symbol t flipped where step t changed it.  Here the 64- and
+    # 128-symbol blocks are shorter than n, as long, or one longer.  Each
+    # block is bytes over {0, 1}, as long as _block_sizes says
+    L = 2 ** n - 2 ** (n - 1) // 3
+    spec = SequenceSpec(n=n, k=2, L=L, mode=mode)
+    blocks = list(itertools.islice(engine._blocks(spec), 9))
+    assert [len(block) for block in blocks] == list(
+        itertools.islice(engine._block_sizes(L), 9))
+    for block in blocks:
+        assert type(block) is bytes
+        assert not block.translate(None, b"\x00\x01")
+    params = derive_params(n, 2, L)
+    cuts = cut_set(params.s, n)
+    joins = (counter_join if mode == "counter" else threshold_join)(params)
+    ref, _ = iterate(start_after_zero(params, cuts, joins),
+                     lambda w: kary_step(w, params, cuts, joins), 4160)
+    assert list(b"".join(blocks)[:4160]) == ref
+
+
 @pytest.mark.parametrize("spec", [
     SequenceSpec(16, 2, 40000), SequenceSpec(16, 2, 40000, "successor"),
     SequenceSpec(8, 4, 4 ** 8 - 100)], ids=["k2", "k2-successor", "k4"])
