@@ -125,7 +125,12 @@ def count_weight_period(w: int, p: int, n: int, k: int) -> int:
 
 
 def count_weight_period_at_most(w: int, p: int, n: int, k: int) -> int:
-    """Number of length-n words with weight w and period <= p; 0 when p < 1."""
+    """Number of length-n words with weight w and period <= p; 0 when p < 1.
+
+    Public on purpose, though nothing in the package calls it: it is the
+    paper's count of weight-w words of period at most p, which
+    ``cutplan.derive_params`` adds up divisor by divisor through
+    ``count_weight_period``."""
     check_ints(w=w, p=p, n=n, k=k)
     # only a divisor of n is the period of a length-n word
     return sum(count_weight_period(w, q, n, k) for q in divisors(n) if q <= p)

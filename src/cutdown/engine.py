@@ -14,12 +14,14 @@ k.  README "How it works" explains both.
 Python 3.11 a test for a repeat on every symbol, or marking through a
 generator such as ``_window_values``, made it 15-26% slower.  So a repeat
 is looked for only when the marks count fewer distinct windows than
-symbols, in two more passes.  At k = 2, 4 and 16, while a window fits
-in 64 bits, the marking pass reads the window values off big ints in
-lanes (``_lane_marker``), the word-level parallelism of shift-or string
-matching (Baeza-Yates and Gonnet, 1992), so a window costs only its
-mark; at any other k or n a loop rolls the window value a symbol at a
-time.
+symbols, in two more passes.  Every pass reads ``_cyclic``'s stream, the
+input and then its first n - 1 symbols, whose linear windows are the
+input's cyclic ones, so no pass treats the windows that wrap around
+apart.  At k = 2, 4 and 16, while a window fits in 64 bits, the marking
+pass reads the window values off big ints in lanes (``_lane_marker``),
+the word-level parallelism of shift-or string matching (Baeza-Yates and
+Gonnet, 1992), so a window costs only its mark; at any other k or n a
+loop rolls the window value a symbol at a time.
 
 The records here and in ``cutplan`` are named tuples, which import less
 than dataclasses do; each equals the plain tuple of its fields.
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from sys import byteorder
 
 from . import successor
 from .cutplan import CutParams, CutSet, cut_set, derive_params
 from .words import (Word, check_ints, check_word, format_word,
-                    int_symbols, pack, rotate)
+                    int_symbols, pack)
 
 _CHUNK = 8192
 # verify reads an iterable in lists this long: with the growth of the list
@@ -195,8 +197,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     markers = [pack(w) for w in cuts.markers]
     r1 = markers[0] if len(markers) > 0 else -1
     r2 = markers[1] if len(markers) > 1 else -1
-    marked = {((r << j) | (r >> (n - j))) & mask
-              for r in markers for j in range(n)}
+    marked = _rotations(cuts, n)
 
     alpha = start
     cmask, neck, z2 = mask, 0, 0
@@ -308,6 +309,13 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
             out ^= out >> shift
             shift += shift
         yield _bit_symbols(out | 1 << size)
+
+
+def _rotations(cuts: CutSet, n: int) -> set[int]:
+    # every rotation of every marker, packed: markers are 0/1 words
+    mask = (1 << n) - 1
+    return {((r << j) | (r >> (n - j))) & mask
+            for r in map(pack, cuts.markers) for j in range(n)}
 
 
 def _bit_symbols(bits: int) -> bytes:
@@ -430,7 +438,7 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     top = n - 1
     low = full >> 1
     markers = [list(w) for w in cuts.markers]
-    marked = {rotate(w, j) for w in cuts.markers for j in range(n)}
+    marked = _rotations(cuts, n)
     marker_weights = {sum(w) for w in cuts.markers}
     # the marks and the scan plan, each by least, up to 4,096 masks each.
     # At n = 10, k = 4 a whole run meets 293 masks at a marked step.  Plans
@@ -449,7 +457,11 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     seq = list(start)
     w = sum(start)
     v, least = scan(seq)
-    hot = not least & (least - 1) and w == n * v + top or tuple(seq) in marked
+    # a rotation of a marker has v = 0 and every other symbol 1, so its 1s
+    # are the positions least leaves out
+    hot = (not least & (least - 1) and w == n * v + top
+           or w in marker_weights and w + least.bit_count() == n
+           and full ^ least in marked)
     cmask = full  # as in the binary loop, the start marks every position
     i = 0
     for block in _block_sizes(L):
@@ -515,7 +527,8 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
             # a lone v in a window of weight n v + n - 1 is v (v + 1)^(n - 1):
             # the cheaper test, so it comes first
             hot = (not least & (least - 1) and w == n * v + top
-                   or w in marker_weights and tuple(seq[i:]) in marked)
+                   or w in marker_weights and w + least.bit_count() == n
+                   and full ^ least in marked)
             cmask = full if hot else memo.get(least)
             if cmask is None:
                 cmask = (_tail_starts(least, n) if least & (least - 1)
@@ -637,17 +650,20 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         bytearray(size) if length * 64 >= size else {})
     # One pass marks every window and records the first symbol outside
     # [0, k) in bad; after that it only checks that the symbols are ints.
+    # It reads _cyclic's stream, so the windows that wrap around are marked
+    # like any other, by the lanes' last call or the roll, and length then
+    # leaves out the n - 1 symbols that _cyclic added.
     # At k <= 256 it reads each block as bytes: one translate finds a
     # symbol out of range, and bytes() raises ValueError at one outside a
     # byte.  A block that is not bytes is converted _LANE symbols at a
     # time: a list or tuple by slices, any other element by element, as
     # bytes() of an array or a memoryview would copy its raw memory.
-    head: list[int] = []  # the first n - 1 symbols, for the wraparound
+    head: list[int] = []  # the roll's first n - 1 symbols, to prime value
     value = length = bad = 0
     mark = _lane_marker(n, k, seen)
     allowed = _BYTES[:k]
     buf = bytearray()  # from the first window the lanes have not marked
-    for block in blocks:
+    for block in _cyclic(blocks, n):
         raw = isinstance(block, (bytes, bytearray))
         if not (raw or int_symbols(block)):
             raise _not_ints()
@@ -665,18 +681,18 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
                     if (piece.translate(None, allowed) if k <= 256 else
                             piece and (min(piece) < 0 or max(piece) >= k)):
                         raise ValueError
-                    symbols = iter(piece)
-                    if len(head) < n - 1:
-                        head += islice(symbols, n - 1 - len(head))
-                        value = pack(head, k)
                     if mark:
                         buf += piece
                         start = 0
                         while len(buf) - start >= _LANE + n - 1:
-                            value = mark(buf[start:start + _LANE + n - 1])
+                            mark(buf[start:start + _LANE + n - 1])
                             start += _LANE
                         del buf[:start]
                     else:
+                        symbols = iter(piece)
+                        if len(head) < n - 1:
+                            head += islice(symbols, n - 1 - len(head))
+                            value = pack(head, k)
                         for c in symbols:
                             value = (value * k + c) % size
                             seen[value] = 1
@@ -685,11 +701,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
                                     if not 0 <= c < k)
         length += len(block)
     if mark and len(buf) >= n and not bad:
-        value = mark(buf)
+        mark(buf)
+    length -= n - 1  # the wrapped symbols that _cyclic added
     if bad:
         return VerifyReport(ok=False, length=length, out_of_range_symbol=bad)
-    for value in _wraparound(value, head, n, k):
-        seen[value] = 1
     distinct = len(seen) if isinstance(seen, dict) else seen.count(1)
     # fewer distinct windows than symbols: some window repeats
     duplicate = (_first_duplicate(blocks, n, k, seen) if distinct < length
@@ -699,10 +714,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
 
 
 def _lane_marker(n: int, k: int, seen: dict[int, int] | bytearray
-                 ) -> Callable[[bytes], int] | None:
+                 ) -> Callable[[bytes], None] | None:
     # mark(data) at k = 2, 4 or 16 (b = log2(k) bits a symbol) while a
     # window's n b bits fit in 64, else None: it marks in seen the windows
-    # of data, at most _LANE of them, and returns the last one's value.
+    # of data, at most _LANE of them.
     # data is read as one base-k int x.  A lane is width bits, the least of
     # 8, 16, 32 and 64 that holds a window, so per = width / b symbols; x
     # shifted by r symbols and masked to the low n b bits of each lane holds
@@ -720,7 +735,7 @@ def _lane_marker(n: int, k: int, seen: dict[int, int] | bytearray
     lanes = int.from_bytes(window.to_bytes(width // 8, "little")
                            * (_LANE // per), "little")
 
-    def mark(data: bytes) -> int:
+    def mark(data: bytes) -> None:
         x = int(data.translate(_HEX), k)
         windows = len(data) - n + 1
         for r in range(min(per, windows)):
@@ -728,7 +743,6 @@ def _lane_marker(n: int, k: int, seen: dict[int, int] | bytearray
             for v in memoryview(y.to_bytes(nbytes, byteorder)).cast(code)[
                     :(windows - r + per - 1) // per]:
                 seen[v] = 1
-        return x & window
 
     return mark
 
@@ -737,32 +751,28 @@ def _not_ints() -> ValueError:
     return ValueError("symbols must be ints")
 
 
+def _cyclic(blocks: Iterable[Sequence[int]],
+            n: int) -> Iterator[Sequence[int]]:
+    # the blocks, then one block of their first n - 1 symbols, cycled where
+    # the input is shorter: the linear windows of this stream are the
+    # cyclic windows of the input, at positions 1, 2, ..., L
+    head: list[int] = []
+    for block in blocks:
+        if len(head) < n - 1:
+            head += islice(block, n - 1 - len(head))
+        yield block
+    yield list(islice(cycle(head), n - 1))
+
+
 def _window_values(blocks: Iterable[Sequence[int]], n: int,
                    k: int) -> Iterator[int]:
     # base-k values of the cyclic windows at positions 1, 2, ..., L
     size = k ** n
-    head: list[int] = []
-    value = 0
-    for block in blocks:
-        symbols = iter(block)
-        if len(head) < n - 1:
-            head += islice(symbols, n - 1 - len(head))
-            value = pack(head, k)
-        for c in symbols:
-            value = (value * k + c) % size
-            yield value
-    yield from _wraparound(value, head, n, k)
-
-
-def _wraparound(value: int, head: list[int], n: int,
-                k: int) -> Iterator[int]:
-    # the values of the windows that wrap around, after the last window
-    # ``value``; an input shorter than n - 1 wraps repeatedly
-    size = k ** n
-    for j in range(n - 1):
-        value = (value * k + head[j % len(head)]) % size
-        if len(head) + j >= n - 1:
-            yield value
+    symbols = chain.from_iterable(_cyclic(blocks, n))
+    value = pack(list(islice(symbols, n - 1)), k)
+    for c in symbols:
+        value = (value * k + c) % size
+        yield value
 
 
 def _first_duplicate(blocks: Iterable[Sequence[int]], n: int, k: int,

@@ -118,6 +118,24 @@ def test_successor_mode_streams_in_bounded_memory(n, k, L):
     assert len(windows) == len(head) - n + 1
 
 
+def test_marker_rotations_take_as_much_memory_at_every_alphabet():
+    # both loops keep a marker's n rotations as packed ints, n^2 / 8 bytes,
+    # not as n-tuples, n^2 pointers: the first 10^3 symbols at (1024, 3),
+    # with set-up outside the trace, take about what they take at k = 2
+    peaks = {}
+    for k in (2, 3):
+        symbols = generate(SequenceSpec(n=1024, k=k,
+                                        L=k ** 1024 - k ** 1023 // 3))
+        tracemalloc.start()
+        try:
+            assert len(list(itertools.islice(symbols, 1000))) == 1000
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] < 2 * 2 ** 20
+    assert peaks[3] <= 2 * peaks[2], peaks
+
+
 def test_spec_validation():
     seq = collect(SequenceSpec(n=3, k=4, L=50, mode="successor"))
     assert verify(seq, 3, 4, expected_len=50).ok
@@ -1208,7 +1226,8 @@ def test_verify_equals_reference_exhaustively():
     # out of range), k = 3 and k = 2^64 + 3, n = 1..4: L < n, L > k^n,
     # wraparound duplicates; the small alphabets mostly reach the table, the
     # large one the dict.  k = 3 also as bytes, and k = 3 and 2^64 + 3 as
-    # a one-shot iterator
+    # a one-shot iterator.  To length 6 also in blocks of one symbol, so the
+    # first n - 1 symbols span several blocks
     big = 2 ** 64 + 3
     for length in range(1, 9):
         for seq in itertools.product(range(3), repeat=length):
@@ -1217,6 +1236,11 @@ def test_verify_equals_reference_exhaustively():
                     want = verify_reference(seq, n, k, expected_len=5)
                     got = verify(seq, n, k, expected_len=5)
                     assert got == want, (seq, n, k)
+                    if length <= 6:
+                        ones = engine._Blocks([seq[i:i + 1]
+                                               for i in range(length)])
+                        assert verify(ones, n, k, expected_len=5) == want, (
+                            seq, n, k)
                 want = verify_reference(seq, n, 3)
                 assert verify(bytes(seq), n, 3) == want
                 assert verify(iter(seq), n, 3) == want
