@@ -3,8 +3,12 @@
 Subcommands: generate, verify, params, rank, count.  Sequences are written
 linearly; reading them cyclically is the verifier's job.  Words and
 sequences use digit strings for alphabets up to size 10 and comma-separated
-decimals beyond that.  Digit strings are read and written as bytes, a block
-at a time: only the ASCII digits and whitespace may appear in them.
+decimals beyond that, and are read by the same rule: csv when k > 10 or
+the text holds a comma, digits otherwise.  Digit strings are read and
+written as bytes, a block at a time: only the ASCII digits and whitespace
+may appear in them.  The commands leave n and k to the library, where
+``words.check_ints`` refuses a non-int, n < 1 and k < 2 with one message,
+and ``words.check_word`` a word off the alphabet.
 
 `generate` writes each block of symbols to standard output's byte stream
 as the engine makes it, from 64 up to 8,192 symbols: digits with one
@@ -45,20 +49,19 @@ _DECODE = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
 _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _decode(raw: Iterable[bytes],
-            fmt: str | None) -> Iterator[bytes | list[int]]:
-    """Decode blocks of text into blocks of symbols: digit strings into
-    bytes of symbols 0..9, csv into lists.  Leading blocks of whitespace
-    are passed over; with no format given, the first other block picks
-    csv if it holds a comma.  A csv field cut by a block end is carried
-    into the next block."""
+def _decode(raw: Iterable[bytes], k: int) -> Iterator[bytes | list[int]]:
+    """Decode blocks of text over an alphabet of size k into blocks of
+    symbols: csv into lists when k > 10 or the first block that is not all
+    whitespace holds a comma, digit strings into bytes of symbols 0..9
+    otherwise.  A csv field cut by a block end is carried into the next
+    block."""
     raw = iter(raw)
     for block in raw:
         if block.strip():
             break
     else:
         return
-    if fmt == "csv" or (fmt is None and b"," in block):
+    if k > 10 or b"," in block:
         carry = b""
         for block in chain([block], raw):
             *fields, carry = (carry + block).split(b",")
@@ -82,20 +85,20 @@ def _csv_symbols(fields: list[bytes]) -> list[int]:
     return [int(part) for part in fields if part]
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(_decode([os.fsencode(text)], None)))
+def _parse_word(text: str, k: int) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(_decode([os.fsencode(text)], k)))
 
 
 class _FileBlocks:
     """The decoded blocks of a file, read afresh on every iteration."""
 
-    def __init__(self, path: str, fmt: str | None) -> None:
-        self.path, self.fmt = path, fmt
+    def __init__(self, path: str, k: int) -> None:
+        self.path, self.k = path, k
 
     def __iter__(self) -> Iterator[bytes | list[int]]:
         with open(self.path, "rb") as handle:
             yield from _decode(iter(partial(handle.read, _BLOCK), b""),
-                               self.fmt)
+                               self.k)
 
 
 def _bad_byte(byte: int) -> ValueError:
@@ -107,7 +110,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     fmt = args.format or ("digits" if args.k <= 10 else "csv")
     if fmt == "digits" and args.k > 10:
         raise ValueError("digits format is ambiguous for k > 10; use --format csv")
-    start = _parse_word(args.start) if args.start else None
+    start = _parse_word(args.start, args.k) if args.start else None
     spec = SequenceSpec(n=args.n, k=args.k, L=args.len, mode=args.mode,
                         start=start)
     blocks = _blocks(spec)
@@ -128,10 +131,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # a file is read again for each pass; verify spools standard input
     if args.input and args.input != "-":
-        blocks = _FileBlocks(args.input, args.format)
+        blocks = _FileBlocks(args.input, args.k)
     else:
         blocks = _decode(iter(partial(sys.stdin.buffer.read, _BLOCK), b""),
-                         args.format)
+                         args.k)
     report = verify(_Blocks(blocks), args.n, args.k, expected_len=args.len)
     if args.json:
         print(json.dumps(_report_json(report, args.k)))
@@ -177,7 +180,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    word = _parse_word(args.word)
+    word = _parse_word(args.word, args.k)
     print(rank_lyndon(word, args.k))
     return 0
 
@@ -219,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, required=True, help="window length")
     ver.add_argument("--len", type=int, default=None, metavar="L",
                      help="also require this exact length")
-    ver.add_argument("--format", choices=("digits", "csv"),
-                     help="input format (default: auto-detect)")
     ver.add_argument("--json", action="store_true", help="JSON report")
     ver.add_argument("input", nargs="?", default=None,
                      help="input file (default: standard input)")

@@ -14,8 +14,10 @@ The complement c -> k-1-c keeps both sums short: above half the largest
 weight, words of weight w are counted as those of weight (k-1)n - w, and
 words of weight at most w as k^n less those of weight at most
 (k-1)n - w - 1, which the complement maps onto those heavier than w.
-Nothing is cached, so the module holds no state.  An argument that is not
-an int raises ValueError, as an n or k out of range does.
+Nothing is cached, so the module holds no state.  Every function here
+raises ValueError for an argument that is not an int, for a length n < 1
+or an alphabet size k < 2, as ``words.check_ints`` decides, and ``mobius``
+for an i < 1.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ def count_strings(n: int, w: int, k: int) -> int:
     weights outside [0, (k-1)*n].
     """
     check_ints(n=n, w=w, k=k)
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
     if w < 0 or w > (k - 1) * n:
         return 0
     # the symbol complement c -> k-1-c keeps the sum below short
@@ -86,9 +86,7 @@ def count_lyndon(n: int, w: int, k: int) -> int:
     With the convention gcd(n, 0) == n, so the only weight-0 Lyndon word is
     the single-symbol word (0,).
     """
-    check_ints(n=n, w=w)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_ints(n=n, w=w, k=k)
     total = 0
     for i in divisors(gcd(n, w)):
         total += mobius(i) * count_strings(n // i, w // i, k)
@@ -100,8 +98,6 @@ def count_lyndon(n: int, w: int, k: int) -> int:
 def count_weight_at_most(w: int, n: int, k: int) -> int:
     """Number of length-n words with weight <= w; 0 when w < 0."""
     check_ints(w=w, n=n, k=k)
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
     if w < 0:
         return 0
     if 2 * w > (k - 1) * n:

@@ -47,12 +47,12 @@ class CutSet(namedtuple("CutSet", "markers sizes")):
 def derive_params(n: int, k: int, L: int) -> CutParams:
     """Compute the unique (m, h, t, s) for a length-L cut-down sequence.
 
-    Raises ValueError when n, k or L is not an int, or when L is outside
-    the supported interval (k^(n-1), k^n]; shorter targets should reduce
-    the order n instead.
+    Raises ValueError when n, k or L is not an int, n < 2, k < 2, or L is
+    outside the supported interval (k^(n-1), k^n]; shorter targets should
+    reduce the order n instead.
     """
     check_ints(n=n, k=k, L=L)
-    if n < 2 or k < 2:
+    if n < 2:
         raise ValueError("need n >= 2 and k >= 2")
     lo, hi = k ** (n - 1), k ** n
     if not lo < L <= hi:
@@ -96,9 +96,9 @@ def marker_word(i: int, n: int) -> Word:
     i or n is not an int, n < 1 or i is not cuttable.
     """
     check_ints(i=i, n=n)
-    if not (n >= 1 and (i == 1 or 2 <= i <= (n + 1) // 2)):
+    if not (i == 1 or 2 <= i <= (n + 1) // 2):
         raise ValueError(f"cycle length {i} not cuttable for n={n}: "
-                         f"need n >= 1 and i == 1 or i <= ceil(n/2)")
+                         f"need i == 1 or 2 <= i <= ceil(n/2)")
     cycle = (0,) * (i - 1) + (1,) if i > 1 else (0,)
     return (cycle * (n // i + 1))[-n:]
 

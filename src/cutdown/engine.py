@@ -185,11 +185,11 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
     # position, leave neck unknown (0), set z2 = 0 and empty stack: the
     # all-0 window, the two windows after the all-1 probe, the rotations of
     # a marker, where a redirect can fire at any step, and marker redirects
-    # after a failed probe.  A step down with stack empty takes the marks
-    # of the one longest run that clearing the 1 makes; z2 stays 0, as
-    # every class met with stack empty is reached from such a fallback by
-    # steps down.  Missing knowledge only widens the marks, so the symbols
-    # are the same either way.
+    # after a failed probe.  The rarer step down with stack empty also
+    # marks every position and leaves neck unknown; z2 is 0 there already,
+    # as every class met with stack empty is reached from such a fallback
+    # by steps down.  Missing knowledge only widens the marks, so the
+    # symbols are the same either way.
     n, L, m, h = params.n, params.L, params.m, params.h
     mask = (1 << n) - 1
     top = n - 1
@@ -291,14 +291,7 @@ def _binary_symbols(params: CutParams, cuts: CutSet, start: int,
                 elif stack:
                     cmask, neck, z2 = stack.pop()
                 else:
-                    # clearing the last 1 joins the tz 0s before it to the
-                    # leading run: one longest run, from n - tz, where the
-                    # necklace starts
-                    tz = (alpha & -alpha).bit_length() - 1
-                    neck = ((alpha << (n - tz)) & mask) | (alpha >> tz)
-                    c = (n - alpha.bit_length() + tz + 1) >> 1
-                    span = ((2 << c) - 1) << (top - c)
-                    cmask = ((span << tz) & mask) | (span >> (n - tz))
+                    cmask, neck = mask, 0
             else:
                 cmask, neck, z2 = mask, 0, 0
                 flips[~block] = 1
@@ -615,8 +608,6 @@ def verify(seq: Iterable[int], n: int, k: int,
     check_ints(n=n, k=k)
     if expected_len is not None:
         check_ints(expected_len=expected_len)
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
     if isinstance(seq, _Blocks):
         blocks = seq.blocks
     elif isinstance(seq, Sequence):
@@ -655,9 +646,10 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
     # leaves out the n - 1 symbols that _cyclic added.
     # At k <= 256 it reads each block as bytes: one translate finds a
     # symbol out of range, and bytes() raises ValueError at one outside a
-    # byte.  A block that is not bytes is converted _LANE symbols at a
-    # time: a list or tuple by slices, any other element by element, as
-    # bytes() of an array or a memoryview would copy its raw memory.
+    # byte.  A block is read _LANE symbols at a time, so no piece copies a
+    # whole input: bytes, a bytearray, a list or a tuple by slices, any
+    # other element by element, as bytes() of an array or a memoryview
+    # would copy its raw memory.
     head: list[int] = []  # the roll's first n - 1 symbols, to prime value
     value = length = bad = 0
     mark = _lane_marker(n, k, seen)
@@ -668,9 +660,9 @@ def _verify_blocks(blocks: Iterable[Sequence[int]], n: int, k: int,
         if not (raw or int_symbols(block)):
             raise _not_ints()
         if not bad:
-            if raw or k > 256:
+            if k > 256:
                 pieces = (block,)
-            elif isinstance(block, (list, tuple)):
+            elif raw or isinstance(block, (list, tuple)):
                 pieces = (bytes(block[i:i + _LANE])
                           for i in range(0, len(block), _LANE))
             else:

@@ -52,8 +52,6 @@ def enumerate_lyndon(n: int, w: int, k: int) -> list[Word]:
     not a production enumerator.
     """
     check_ints(n=n, w=w, k=k)
-    if n < 1 or k < 2:
-        raise ValueError(f"need n >= 1 and k >= 2, not {(n, w, k)}")
     if k ** n > ORACLE_LIMIT:
         raise ValueError(f"k^n = {k ** n} exceeds the oracle limit "
                          f"{ORACLE_LIMIT}")

@@ -8,7 +8,9 @@ The package's argument policy lives here too: ``check_word`` decides what
 counts as a window over {0, ..., k-1}, and every rule entry point in
 ``successor``, ``ranking`` and ``engine`` calls it, so each takes any
 sequence of int symbols and refuses any other with one message;
-``check_ints`` does the same for int arguments.  ``check_word`` and
+``check_ints`` does the same for int arguments, and bounds every n and k
+passed to it: a length n >= 1 and an alphabet size k >= 2, the only ones
+the package's sequences, counts and ranks exist for.  ``check_word`` and
 ``engine.verify``'s spool ask ``int_symbols`` whether symbols are ints.
 
 Terminology: a *necklace* is a word that is lexicographically <= every
@@ -31,10 +33,13 @@ Word = tuple[int, ...]
 
 
 def check_ints(**args: int) -> None:
-    """Raise ValueError unless every keyword argument is an int; bools pass,
-    as they do in ``engine.verify``."""
+    """Raise ValueError unless every keyword argument is an int, with an
+    argument named n (a window or word length) >= 1 and one named k (an
+    alphabet size) >= 2; bools pass, as they do in ``engine.verify``."""
     if not all(isinstance(x, int) for x in args.values()):
         raise ValueError(f"arguments must be ints, not {args}")
+    if args.get("n", 1) < 1 or args.get("k", 2) < 2:
+        raise ValueError(f"need n >= 1 and k >= 2, not {args}")
 
 
 def int_symbols(symbols: Iterable[int]) -> bool:

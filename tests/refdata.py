@@ -158,7 +158,10 @@ def probe_class_mask_reference(alpha, runs, p, n, z2=0, top_weight=False):
     the leading run: a single longest run of z0 + tz 0s, from position
     n - tz, where the necklace starts, whose other runs are not known, so
     z2 is 0 and its marks are that run's first (z + 1) // 2 + 1
-    positions.  runs, p, z2 and top_weight are read for the probe only."""
+    positions.  runs, p, z2 and top_weight are read for the probe only.
+    ``engine._binary_symbols`` takes these marks on a step up; a step down
+    restores its class from the stack, or marks every position where the
+    stack is empty."""
     full = (1 << n) - 1
 
     def split_run(c, u):

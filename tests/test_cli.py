@@ -180,8 +180,13 @@ def test_verify_csv_input(capsys, monkeypatch, tmp_path):
     k = 2 ** 64 + 3
     code, report = verify_both_ways(
         capsys, monkeypatch, tmp_path, b"5",
-        ["verify", "--n", "1", "--k", str(k), "--format", "csv", "--json"])
+        ["verify", "--n", "1", "--k", str(k), "--json"])
     assert (code, report) == (0, reference_json([5], 1, k, None))
+    # beyond k = 10 the input is csv, comma or not: 11 is one symbol
+    code, report = verify_both_ways(
+        capsys, monkeypatch, tmp_path, b"11",
+        ["verify", "--n", "1", "--k", "12", "--json"])
+    assert (code, report) == (0, reference_json([11], 1, 12, None))
 
 
 def test_generate_pipe_verify(capsys, monkeypatch):
@@ -399,10 +404,11 @@ def test_verify_csv_field_across_a_block_end(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("n", [1, 3], ids=["table", "set"])
 def test_verify_digits_beyond_a_byte(capsys, monkeypatch, tmp_path, n):
-    # digit strings at k = 300 come as bytes blocks; standard input spools
-    # them as bytes, one per symbol.  Ten symbols at n = 1 reach the table.
-    for data in (b" 298", b"00100", b"0123456789"):
-        symbols = [int(c) for c in data.strip().decode()]
+    # csv at k = 300 whose symbols fit in a byte: standard input spools
+    # them as bytes, one per symbol, and every pass reads bytes blocks
+    # beyond k = 256.  Ten symbols at n = 1 reach the table.
+    for data in (b" 2,9,8", b"0,0,1,0,0", b"0,1,2,3,4,5,6,7,8,9"):
+        symbols = [int(c) for c in data.split(b",")]
         code, report = verify_both_ways(
             capsys, monkeypatch, tmp_path, data,
             ["verify", "--n", str(n), "--k", "300", "--json"])
@@ -414,6 +420,9 @@ def test_rank(capsys):
     code, out, _ = run_cli(capsys, "rank", "000101")
     assert code == 0
     assert out.strip() == "2"
+    # beyond k = 10 a word is csv, comma or not: 11 is one symbol
+    code, out, _ = run_cli(capsys, "rank", "--k", "12", "11")
+    assert (code, out) == (0, "1\n")
 
 
 def test_rank_64_bit_word(capsys):
@@ -425,9 +434,11 @@ def test_rank_64_bit_word(capsys):
 
 
 def test_rank_symbol_outside_alphabet_exit_2(capsys):
-    code, _, err = run_cli(capsys, "rank", "0102")
-    assert code == 2
-    assert "word over" in err
+    # 100 at k = 12 is the symbol 100, not the word (1, 0, 0)
+    for argv in (["0102"], ["--k", "12", "100"]):
+        code, _, err = run_cli(capsys, "rank", *argv)
+        assert code == 2
+        assert "word over" in err
 
 
 def test_rank_periodic_input_exit_2(capsys):
@@ -455,7 +466,7 @@ def test_unknown_subcommand_exit_2(capsys):
 
 @pytest.mark.parametrize("command, options", [
     ("generate", "--n --k --len --mode --start --format"),
-    ("verify", "--n --k --len --format --json input"),
+    ("verify", "--n --k --len --json input"),
     ("params", "--n --k --len --json"),
     ("rank", "word --k"),
     ("count", "--n --w --k --lyndon"),

@@ -217,6 +217,14 @@ def test_divisor_and_period_counts_reject_non_ints():
                  lambda: count_weight_period_at_most(2, 2, 4, "2")):
         with pytest.raises(ValueError, match="must be ints"):
             call()
+    # and these answered [] or 0: n >= 1 and k >= 2 hold for them too
+    for call in (lambda: divisors(0), lambda: divisors(-4),
+                 lambda: count_weight_period(1, 1, 0, 2),
+                 lambda: count_weight_period(0, 3, 4, 1),
+                 lambda: count_weight_period_at_most(1, 5, 0, 2),
+                 lambda: count_weight_period_at_most(1, 1, 4, 1)):
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+            call()
     # bools are ints, as elsewhere in the module
     assert mobius(True) == 1
     assert divisors(True) == [1]

@@ -30,7 +30,9 @@ def test_derive_params_examples(n, k, L, expected):
 def test_derive_params_rejects_out_of_range(n, k, L):
     if not all(isinstance(x, int) for x in (n, k, L)):
         match = "must be ints"
-    elif min(n, k) < 2:
+    elif k < 2:
+        match = "need n >= 1 and k >= 2"
+    elif n < 2:
         match = "need n >= 2 and k >= 2"
     else:
         match = "<"

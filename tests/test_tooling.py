@@ -65,7 +65,7 @@ def test_generate_pipes_into_verify(n, k, L, mode, fmt):
     size = ["--n", str(n), "--k", str(k), "--len", str(L)]
     with subprocess.Popen([*cli, "generate", *size, "--mode", mode, *fmt],
                           env=_env(), stdout=subprocess.PIPE) as gen:
-        ver = subprocess.run([*cli, "verify", "--json", *size, *fmt],
+        ver = subprocess.run([*cli, "verify", "--json", *size],
                              env=_env(), stdin=gen.stdout,
                              capture_output=True, timeout=60)
     assert gen.returncode == 0
