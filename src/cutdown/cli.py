@@ -51,29 +51,38 @@ _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 def _decode(raw: Iterable[bytes], k: int) -> Iterator[bytes | list[int]]:
     """Decode blocks of text over an alphabet of size k into blocks of
-    symbols: csv into lists when k > 10 or the first block that is not all
-    whitespace holds a comma, digit strings into bytes of symbols 0..9
-    otherwise.  A csv field cut by a block end is carried into the next
+    symbols: csv into lists when k > 10 or the text holds a comma, digit
+    strings into bytes of symbols 0..9 otherwise.  Digits are read up to
+    the first comma, so the choice holds across blocks: a comma before any
+    digit makes the whole text csv, and one after a single digit, which is
+    then the first field, the rest of it; one after more digits is
+    refused.  A csv field cut by a block end is carried into the next
     block."""
     raw = iter(raw)
+    digits = 0  # read so far
     for block in raw:
-        if block.strip():
-            break
-    else:
-        return
-    if k > 10 or b"," in block:
+        comma = block.find(b",") if k <= 10 else 0
+        if comma < 0 or digits:
+            head = block if comma < 0 else block[:comma]
+            symbols = head.translate(_DECODE, _WHITESPACE)
+            if 255 in symbols:
+                raise _bad_byte(
+                    head.translate(None, b"0123456789" + _WHITESPACE)[0])
+            digits += len(symbols)
+            yield symbols
+            if comma < 0:
+                continue
+            if digits > 1:
+                raise ValueError("unexpected comma after two or more digits: "
+                                 "csv has one between every two symbols, and "
+                                 "a digit string none")
+            block = block[comma + 1:]
         carry = b""
         for block in chain([block], raw):
             *fields, carry = (carry + block).split(b",")
             yield _csv_symbols(fields)
         yield _csv_symbols([carry])
         return
-    for block in chain([block], raw):
-        symbols = block.translate(_DECODE, _WHITESPACE)
-        if 255 in symbols:
-            raise _bad_byte(
-                block.translate(None, b"0123456789" + _WHITESPACE)[0])
-        yield symbols
 
 
 def _csv_symbols(fields: list[bytes]) -> list[int]:

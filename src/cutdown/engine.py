@@ -7,8 +7,10 @@ between the steps that can change a window's class copied in runs:
 ``_binary_symbols`` at k = 2, on packed ints (one machine word for
 n <= 63, a big int beyond), which records only the steps that change a
 symbol and builds each block from them in a few big-int operations, and
-``_list_symbols`` with ``_tail_starts`` and ``_tail_scanner`` for larger
-k.  README "How it works" explains both.
+``_list_symbols`` for larger k, which walks each class visit as a lap:
+the marked steps of a turn, from ``_tail_starts`` and ``_tail_scanner``,
+kept to n = 64 by the positions of the least symbol where the visit
+starts.  README "How it works" explains both.
 
 ``verify`` marks each window's base-k value in one pass: at n = 22 on
 Python 3.11 a test for a repeat on every symbol, or marking through a
@@ -40,6 +42,7 @@ from .words import (Word, check_ints, check_word, format_word,
                     int_symbols, pack)
 
 _CHUNK = 8192
+_LAPS = 16384  # the most lap steps _list_symbols keeps
 # verify reads an iterable in lists this long: with the growth of the list
 # as it fills, a block then stays small beside even a 64 KiB table
 _PIECE = 1024
@@ -374,8 +377,7 @@ def _tail_scanner(n: int) -> Callable[[int], tuple[int, int]]:
     # last position equals the prefix, so it sets p to n - 2 and is not
     # compared.  A tail that does not start with v gets p = 0, which keeps
     # the symbol, as pcr3_alt does outside the class of v (v + 1)^(n - 1);
-    # only the start window and hot classes mark such steps, and in a hot
-    # class kary_step decides them.
+    # only hot classes mark such steps, and there kary_step decides them.
     top = n - 1
     low = (1 << n) - 1 >> 1
     second = low + 1 >> 1  # position 1
@@ -405,43 +407,73 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
     # seq holds i + n symbols, so the window at step i is seq[i:], read in
-    # place.  cmask (MSB = position 0) marks where _tail_starts says a tail
-    # can be a prenecklace of the window's least symbol v, and, as in
-    # _binary_symbols, the plain rotations between marks are copied as
-    # slices.  least, the positions of v, rotates with cmask; a step that
-    # changes a symbol updates it, rescanning only when the last v leaves.
+    # place.  least (MSB = position 0) holds the positions of the window's
+    # least symbol v.  The loop walks each class visit as a lap: the marked
+    # steps of one turn from the window where the visit starts, each with
+    # the plain rotations before it, which are copied as slices, as in
+    # _binary_symbols.  A step is marked where _tail_starts says its tail
+    # can be a prenecklace of v.  A visit covers at most its class's period
+    # of windows, so it ends within one turn, at the first step that
+    # changes a symbol: least is then updated, rescanning only when the
+    # last v leaves, and the lap of the window entered is looked up.  A lap
+    # that ends with no change goes on with the lap of the window reached.
     # A step that drops a lone v changes it only in the class of
     # v (v + 1)^(n - 1), which is hot, so a lone v marks only its own
     # position, and every other marked tail starts with v.
-    # A marked step runs pcr3_alt: the scan from _tail_scanner, memoised by
-    # least where masks repeat, gives the later v to compare and p's start
-    # value.  A suffix from a later v and the tail's prefix both start with
-    # v, so their second symbols settle most compares, and the slices are
-    # built only on a tie.
+    # A marked step runs pcr3_alt: its lap entry gives the scan from
+    # _tail_scanner, the later v to compare and p's start value.  A suffix
+    # from a later v and the tail's prefix both start with v, so their
+    # second symbols settle most compares, and the slices are built only
+    # on a tie.
     # The symbol stands when it is the dropped one, or keeps the weight
     # below m and lands on no marker (only a candidate of a marker's
     # weight is compared).  A window of weight m keeps a1 in place of a
     # heavier symbol, as kary_step's weight cap does; its candidate is
     # then a rotation of the window, so no marker.  Other steps, and all
     # while the window is a rotation of a marker or of v (v + 1)^(n - 1)
-    # (hot), go to successor.kary_step.  Only kary_step is looked up on the
-    # module, at every call, so a wrapper installed there sees each call.
+    # (hot, which marks every step), go to successor.kary_step.  Only
+    # kary_step is looked up on the module, at every call, so a wrapper
+    # installed there sees each call.
     n, k, L, m = params.n, params.k, params.L, params.m
     full = (1 << n) - 1
     top = n - 1
-    low = full >> 1
     markers = [list(w) for w in cuts.markers]
     marked = _rotations(cuts, n)
     marker_weights = {sum(w) for w in cuts.markers}
-    # the marks and the scan plan, each by least, up to 4,096 masks each.
-    # At n = 10, k = 4 a whole run meets 293 masks at a marked step.  Plans
-    # are stored to n = 64 only: at k = 3..5 storing them gains 2-20% to
-    # n = 64 and nothing at n = 96, and at n = 128 and 512 filling the
-    # dict with plan tuples costs more than the rare hits save
-    keep_plans = n <= 64
-    memo: dict[int, int] = {}
-    plans: dict[int, tuple[int, int]] = {}
     tail_scan = _tail_scanner(n)
+    # The laps, by least and hot, at n <= 64 while they hold fewer than
+    # _LAPS steps in all.  A lap is built as the first visit from its
+    # window walks it, and kept as far as that visit went, so no visit
+    # computes a mark past the step that ends it; a later visit may walk
+    # past the end.  The whole counter run at (10, 4, 1040384) keeps 262
+    # laps of 434 steps, and 5,851 of the 148,379 laps it walks end with
+    # no change.  Keeping whole turns made n = 40..64 10-15% slower, as
+    # most laps there are walked once or twice.  Beyond n = 64 masks
+    # seldom repeat, and keeping laps costs more than the hits save
+    laps: dict[int, list[tuple[int, int, int, int]]] = {}
+    room = _LAPS if n <= 64 else 0  # the lap steps that may still be kept
+
+    def lap(least: int, marks: int, kept: list[tuple[int, int, int, int]]
+            ) -> Iterator[tuple[int, int, int, int]]:
+        # the marked steps of one turn from a window, each also appended to
+        # kept while there is room: its plain rotations before it, its scan
+        # and least after it if the symbol stands.  Step t drops the symbol
+        # at position t, and its tail starts at t + 1, so marks turned by
+        # one hold the steps, MSB = step 0; marks and least turn with each
+        # step walked.  tail_scan reads no bit of the dropped symbol, so
+        # least after the step, shifted by one, serves it
+        nonlocal room
+        marks = ((marks << 1) & full) | (marks >> top)
+        while marks:
+            r = n + 1 - marks.bit_length()  # the plain rotations and the step
+            marks = (marks << r) & full
+            least = ((least << r) & full) | (least >> n - r)
+            later, p = tail_scan(least >> 1)
+            entry = r - 1, later, p, least
+            if room:
+                kept.append(entry)
+                room -= 1
+            yield entry
 
     def scan(window: list[int]) -> tuple[int, int]:
         v = min(window)
@@ -450,35 +482,32 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
     seq = list(start)
     w = sum(start)
     v, least = scan(seq)
-    # a rotation of a marker has v = 0 and every other symbol 1, so its 1s
-    # are the positions least leaves out
-    hot = (not least & (least - 1) and w == n * v + top
-           or w in marker_weights and w + least.bit_count() == n
-           and full ^ least in marked)
-    cmask = full  # as in the binary loop, the start marks every position
+    sizes = _block_sizes(L)
+    size = next(sizes)
     i = 0
-    for block in _block_sizes(L):
-        while block:
-            c = cmask & low
-            q = top - c.bit_length() if c else top
-            if q > block:
-                q = block
+    while True:
+        # a rotation of a marker has v = 0 and every other symbol 1, so its
+        # 1s are the positions least leaves out.  A lone v in a window of
+        # weight n v + n - 1 is v (v + 1)^(n - 1).  So a hot window weighs
+        # n v + n - 1 or a marker's weight, which two tests on small ints
+        # rule out for most windows
+        hot = (w % n == top or w in marker_weights) and (
+            not least & (least - 1) and w == n * v + top
+            or w in marker_weights and w + least.bit_count() == n
+            and full ^ least in marked)
+        key = -least if hot else least
+        steps = laps.get(key)
+        if steps is None:
+            kept: list[tuple[int, int, int, int]] = []
+            if room:
+                laps[key] = kept
+            steps = lap(least, full if hot else _tail_starts(least, n)
+                        if least & (least - 1) else least, kept)
+        for q, later, p, least in steps:  # p: the tail's period, or 0
             if q:
                 seq += seq[i:i + q]
                 i += q
-                cmask = ((cmask << q) & full) | (cmask >> (n - q))
-                least = ((least << q) & full) | (least >> (n - q))
-                block -= q
-                if not block:
-                    break
-            block -= 1
             a1 = x = seq[i]
-            plan = plans.get(least)
-            if plan is None:
-                plan = tail_scan(least)
-                if keep_plans and len(plans) < 4096:
-                    plans[least] = plan
-            later, p = plan  # p: the tail's period, or 0 if no prenecklace
             while later:
                 b = later.bit_length()  # v at position n - b
                 later ^= 1 << (b - 1)
@@ -504,10 +533,9 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 x = successor.kary_step(tuple(seq[i:]), params, cuts, joins)
             seq.append(x)
             i += 1
-            least = ((least << 1) & full) | (least >> top)
-            if x == a1:
-                cmask = ((cmask << 1) & full) | (cmask >> top)
-                continue
+            if x != a1:
+                break
+        if x != a1:
             w += x - a1
             if x < v:
                 v, least = x, 1
@@ -517,20 +545,13 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 least &= ~1
                 if not least:
                     v, least = scan(seq[i:])
-            # a lone v in a window of weight n v + n - 1 is v (v + 1)^(n - 1):
-            # the cheaper test, so it comes first
-            hot = (not least & (least - 1) and w == n * v + top
-                   or w in marker_weights and w + least.bit_count() == n
-                   and full ^ least in marked)
-            cmask = full if hot else memo.get(least)
-            if cmask is None:
-                cmask = (_tail_starts(least, n) if least & (least - 1)
-                         else least)
-                if len(memo) < 4096:
-                    memo[least] = cmask
-        yield seq[:i]
-        del seq[:i]
-        i = 0
+        while i >= size:
+            yield seq[:size]
+            del seq[:size]
+            i -= size
+            size = next(sizes, 0)
+            if not size:
+                return
 
 
 class _Blocks:

@@ -402,6 +402,32 @@ def test_verify_csv_field_across_a_block_end(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: unexpected byte 0x20 in the symbols")
 
 
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_csv_whose_first_comma_comes_after_a_block(
+        capsys, monkeypatch, tmp_path, source):
+    # the first field runs past the first block: a comma after one digit
+    # makes the rest csv, that digit being the first field, and a comma
+    # after two or more digits is refused
+    argv = ["verify", "--n", "1", "--json"]
+    for data, expected in [(b"1" + b" " * 70000 + b",0", 0),
+                           (b"10" + b" " * 70000 + b",0", 2),
+                           (b"1" + b" " * 70000 + b"1,0", 2)]:
+        if source == "file":
+            path = tmp_path / "seq.csv"
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, *argv, str(path))
+        else:
+            code, out, err = run_cli(capsys, *argv, stdin=data,
+                                     monkeypatch=monkeypatch)
+        assert code == expected, (data[:3], err)
+        if expected:
+            assert (out, err) == ("", "error: unexpected comma after two or "
+                                  "more digits: csv has one between every "
+                                  "two symbols, and a digit string none\n")
+        else:
+            assert json.loads(out) == reference_json([1, 0], 1, 2, None)
+
+
 @pytest.mark.parametrize("n", [1, 3], ids=["table", "set"])
 def test_verify_digits_beyond_a_byte(capsys, monkeypatch, tmp_path, n):
     # csv at k = 300 whose symbols fit in a byte: standard input spools

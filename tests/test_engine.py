@@ -510,6 +510,37 @@ def test_list_loop_caps_weight_m_windows_inline(monkeypatch):
     assert len(calls) <= 50, len(calls)
 
 
+def test_list_loop_reaches_weight_m_and_the_cap_at_wide_n(monkeypatch):
+    # the first 3000 symbols at (96, 4), L = 4^96 - 4^95 / 3, follow
+    # iterated kary_step.  They reach a window of weight m, past the 1000
+    # symbols at random L that the wide-n property test compares, and the
+    # loop hands kary_step steps that reach the weight cap from below
+    n, k, count = 96, 4, 3000
+    L = k ** n - k ** (n - 1) // 3
+    params = derive_params(n, k, L)
+    cuts = cut_set(params.s, n)
+    joins = counter_join(params)
+    ref, _ = iterate(start_after_zero(params, cuts, joins),
+                     lambda w: kary_step(w, params, cuts, joins), count)
+    calls = []
+    step, alt = successor.kary_step, successor.pcr3_alt
+
+    def counted_step(word, *args):
+        calls.append(word)
+        return step(word, *args)
+
+    monkeypatch.setattr(successor, "kary_step", counted_step)
+    head = itertools.islice(generate(SequenceSpec(n, k, L)), count)
+    assert list(head) == ref
+    # the weights of the windows at positions 1 .. count - n + 1
+    weights = itertools.accumulate(range(n, count),
+                                   lambda w, j: w + ref[j] - ref[j - n],
+                                   initial=sum(ref[:n]))
+    assert params.m in set(weights)
+    assert any(sum(word) < params.m <= sum(word) - word[0] + alt(word, k)
+               for word in calls)
+
+
 @pytest.mark.parametrize("mode", ["counter", "successor"])
 def test_list_loop_keeps_the_trailing_run_of_the_least_symbol(mode):
     # at (3, 3, 24) a marked step's tail can start v v and end with a
@@ -639,6 +670,63 @@ BENCH_SHA256 = {
 def test_benchmark_binary_shapes_pinned(spec, count):
     head = bytes(itertools.islice(generate(spec), count))
     assert hashlib.sha256(head).hexdigest() == BENCH_SHA256[spec, count]
+
+
+# sha256 of the benchmark's k-ary shape, the whole run at (10, 4) in both
+# modes, and of the first 2 * 10^4 symbols at wide n, L = k^n - k^(n-1) / 3,
+# as emitted before the k-ary loop walked each class by its lap
+KARY_BENCH_SHA256 = {
+    (SequenceSpec(10, 4, 4 ** 10 - 4 ** 10 // 128), None):
+        "faf8461381daa04406a01d0bdab05fa3f4e531dd81f6125ab31c2b5275c416db",
+    (SequenceSpec(10, 4, 4 ** 10 - 4 ** 10 // 128, "successor"), None):
+        "d28a525aad6ddede20f723b7df987bad06b0eb88132498f5d2ca45d6c491f514",
+    (SequenceSpec(24, 4, 4 ** 24 - 4 ** 23 // 3), 2 * 10 ** 4):
+        "52b961feed678636e6d2659dee38584d2a28aba92c8d273e9cc55d6c98905e8e",
+    (SequenceSpec(128, 4, 4 ** 128 - 4 ** 127 // 3), 2 * 10 ** 4):
+        "6cc8d4855475d868dab7473dbb1ecdbb3467d23884b2d0362569d61d93c39e5d",
+    (SequenceSpec(512, 4, 4 ** 512 - 4 ** 511 // 3), 2 * 10 ** 4):
+        "1e14d2e51250192a5c44b0aa55cfa8e211233ce56b92cea511bdfc951f1339c9",
+    (SequenceSpec(256, 3, 3 ** 256 - 3 ** 255 // 3), 2 * 10 ** 4):
+        "42199fbee80886556cd2ce744c35bb22f5c97fcc65c1f9890e3dd374b09bc7d1",
+    (SequenceSpec(30, 3, 3 ** 30 - 3 ** 29 // 3, "successor"), 2 * 10 ** 4):
+        "5f25378d252f25791c5d78b0541bc671e543b2b57a189fcefcf7e79988532ceb",
+}
+KARY_BENCH_IDS = ["counter-10-4", "successor-10-4", "counter-24-4",
+                  "counter-128-4", "counter-512-4", "counter-256-3",
+                  "successor-30-3"]
+
+
+@pytest.mark.parametrize("spec, count", KARY_BENCH_SHA256, ids=KARY_BENCH_IDS)
+def test_benchmark_kary_shapes_pinned(spec, count):
+    head = bytes(itertools.islice(generate(spec), count))
+    assert hashlib.sha256(head).hexdigest() == KARY_BENCH_SHA256[spec, count]
+
+
+# sha256 of the whole run at (8, 3), L = 3^8 - 3^7 / 3, in both modes, as
+# emitted before the k-ary loop walked each class by its lap
+LAP_SHA256 = {
+    SequenceSpec(8, 3, 3 ** 8 - 3 ** 7 // 3):
+        "3913b8283f640e3e6a71912f0a06d0aa3eb86d599542b776fdaf975ec4513035",
+    SequenceSpec(8, 3, 3 ** 8 - 3 ** 7 // 3, "successor"):
+        "2387febf12eeb2e3df90647cdecb15516052b7b6a047946a607257b8281383ae",
+    **{spec: digest for (spec, count), digest in KARY_BENCH_SHA256.items()
+       if count is None},
+}
+
+
+@pytest.mark.parametrize("cap", [engine._LAPS, 7, 0],
+                         ids=["kept", "few-kept", "none-kept"])
+@pytest.mark.parametrize("spec", LAP_SHA256,
+                         ids=["counter-8-3", "successor-8-3", "counter-10-4",
+                              "successor-10-4"])
+def test_list_loop_emits_the_same_with_fewer_laps_kept(monkeypatch, spec,
+                                                       cap):
+    # with room for no lap step the loop walks each lap as it builds it, as
+    # it does beyond n = 64; with room for 7 the few laps kept stop short,
+    # and a visit that walks past the end of one looks up the next
+    monkeypatch.setattr(engine, "_LAPS", cap)
+    head = bytes(generate(spec))
+    assert hashlib.sha256(head).hexdigest() == LAP_SHA256[spec]
 
 
 @pytest.mark.parametrize("mode", ["counter", "successor"])
