@@ -17,7 +17,6 @@ the small cycle [0..01] of a chosen length out of the main cycle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 
 from .counting import count_weight_at_most, count_weight_period, divisors
@@ -60,10 +59,13 @@ def derive_params(n: int, k: int, L: int) -> CutParams:
             f"L={L} out of range: need k^(n-1) < L <= k^n, "
             f"i.e. {lo} < L <= {hi} for n={n}, k={k}")
 
-    # the least m with A(m) >= L, by bisection: A grows with m, and
-    # A((k-1)n) = k^n >= L
-    m = bisect_left(range((k - 1) * n + 1), L,
-                    key=lambda w: count_weight_at_most(w, n, k))
+    # the least m with A(m) >= L: A grows with m, and A((k-1)n) = k^n >= L,
+    # so m counts the weights w with A(w) < L, found bit by bit from the
+    # top, on plain ints: a range of (k-1)n + 1 weights can be longer than
+    # bisect takes
+    m = 0
+    for bit in reversed(range(((k - 1) * n).bit_length())):
+        m += (count_weight_at_most(m + (1 << bit) - 1, n, k) < L) << bit
     below = count_weight_at_most(m - 1, n, k)
 
     # the least h with A(m-1) + C(m, h) >= L: C grows only where h

@@ -8,9 +8,14 @@ between the steps that can change a window's class copied in runs:
 n <= 63, a big int beyond), which records only the steps that change a
 symbol and builds each block from them in a few big-int operations, and
 ``_list_symbols`` for larger k, which walks each class visit as a lap:
-the marked steps of a turn, from ``_tail_starts`` and ``_tail_scanner``,
-kept to n = 64 by the positions of the least symbol where the visit
-starts.  README "How it works" explains both.
+the marked steps of a turn (``_lap_marks``), each decided by the scan
+from ``_tail_scanner`` and, up to k = 256, a table of ``pcr3_alt``'s
+symbols (``_pcr3_rows``), kept to n = 64 by the positions of the least
+symbol where the visit starts.  It decides the weight cap itself, from above
+and from below, and leaves ``kary_step`` the rotations of a marker or of
+v (v + 1)^(n - 1), the steps that can land on a marker and, beyond
+k = 256, those that reach the cap from below.  README "How it works"
+explains both.
 
 ``verify`` marks each window's base-k value in one pass: at n = 22 on
 Python 3.11 a test for a repeat on every symbol, or marking through a
@@ -375,18 +380,13 @@ def _tail_scanner(n: int) -> Callable[[int], tuple[int, int]]:
     # the first position from 2 on of the trailing run of v, which ends
     # with the window and can equal the prefix.  The suffix [v] at the
     # last position equals the prefix, so it sets p to n - 2 and is not
-    # compared.  A tail that does not start with v gets p = 0, which keeps
-    # the symbol, as pcr3_alt does outside the class of v (v + 1)^(n - 1);
-    # only hot classes mark such steps, and there kary_step decides them.
+    # compared.  Every tail that _lap_marks marks starts with v.
     top = n - 1
     low = (1 << n) - 1 >> 1
-    second = low + 1 >> 1  # position 1
-    third = second >> 1  # 0 at n = 2
+    third = low + 1 >> 2  # position 2, 0 at n = 2
     rest = low >> 1  # positions 2 on
 
     def tail_scan(least: int) -> tuple[int, int]:
-        if not least & second:
-            return 0, 0
         later = least & rest
         if least & third:  # the tail starts v v
             z0 = top - (low & ~least).bit_length()
@@ -403,52 +403,90 @@ def _tail_scanner(n: int) -> Callable[[int], tuple[int, int]]:
     return tail_scan
 
 
+def _lap_marks(least: int, n: int, top_weight: bool) -> int:
+    # The steps of a turn from a window that is not hot (MSB = step 0)
+    # that _list_symbols marks, from the positions of the window's least
+    # symbol v.  Step t drops the symbol at position t, and its tail
+    # starts at t + 1, so the marks are the tail starts turned by one.  A
+    # tail can be a prenecklace of v only where _tail_starts says.  A step
+    # that drops a lone v changes it only in the hot class of
+    # v (v + 1)^(n - 1), so a lone v marks only its own position.  At
+    # weight m (top_weight, which a constant window never is here) no step
+    # that drops a v is marked: pcr3_alt keeps such a v or raises it, as
+    # no necklace but a constant one ends with its least symbol, and the
+    # cap undoes every raise
+    starts = _tail_starts(least, n) if least & (least - 1) else least
+    if top_weight:
+        starts &= ~((least >> 1) | ((least & 1) << n - 1))
+    return ((starts << 1) & ((1 << n) - 1)) | (starts >> n - 1)
+
+
+def _pcr3_rows(n: int, k: int) -> list[list[bytes]]:
+    # rows[p][b][a1] for k <= 256: pcr3_alt's symbol after a1 for a window
+    # whose tail is a prenecklace whose longest Lyndon prefix has period p,
+    # where b = window[n - p]; at p = 0, a tail that is no prenecklace, a1
+    # stands.  The least symbol that extends the tail to a necklace is
+    # c = b + 1, or b when b > 0 and p divides n (c = k: none does).  Its
+    # row, by_c[c - 1], holds a1 below c - 1, then k - 1, then a1 - 1, so
+    # c = k keeps every a1.  The k rows of k bytes are built once a run
+    by_c = [bytes([*range(j), k - 1, *range(j, k - 1)]) for j in range(k)]
+    keep, divides = [by_c[-1]] * k, by_c[:1] + by_c[:-1]
+    return [keep] + [divides if n % p == 0 else by_c for p in range(1, n)]
+
+
 def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                   joins: successor.Join) -> Iterator[list[int]]:
     # successor.kary_step for any k on a list holding the current block:
     # seq holds i + n symbols, so the window at step i is seq[i:], read in
     # place.  least (MSB = position 0) holds the positions of the window's
     # least symbol v.  The loop walks each class visit as a lap: the marked
-    # steps of one turn from the window where the visit starts, each with
-    # the plain rotations before it, which are copied as slices, as in
-    # _binary_symbols.  A step is marked where _tail_starts says its tail
-    # can be a prenecklace of v.  A visit covers at most its class's period
-    # of windows, so it ends within one turn, at the first step that
-    # changes a symbol: least is then updated, rescanning only when the
-    # last v leaves, and the lap of the window entered is looked up.  A lap
-    # that ends with no change goes on with the lap of the window reached.
-    # A step that drops a lone v changes it only in the class of
-    # v (v + 1)^(n - 1), which is hot, so a lone v marks only its own
-    # position, and every other marked tail starts with v.
+    # steps of one turn from the window where the visit starts
+    # (_lap_marks), each with the plain rotations before it, which are
+    # copied as slices, as in _binary_symbols.  A visit covers at most its
+    # class's period of windows, so it ends within one turn, at the first
+    # step that changes a symbol: least is then updated, rescanning only
+    # when the last v leaves, and the lap of the window entered is looked
+    # up.  A lap that ends with no change goes on with the lap of the
+    # window reached.  Every marked tail starts with v.  A window that is a
+    # rotation of a marker or of v (v + 1)^(n - 1) (hot) takes no lap: each
+    # of its steps goes to successor.kary_step.
     # A marked step runs pcr3_alt: its lap entry gives the scan from
     # _tail_scanner, the later v to compare and p's start value.  A suffix
     # from a later v and the tail's prefix both start with v, so their
     # second symbols settle most compares, and the slices are built only
-    # on a tie.
-    # The symbol stands when it is the dropped one, or keeps the weight
-    # below m and lands on no marker (only a candidate of a marker's
-    # weight is compared).  A window of weight m keeps a1 in place of a
-    # heavier symbol, as kary_step's weight cap does; its candidate is
-    # then a rotation of the window, so no marker.  Other steps, and all
-    # while the window is a rotation of a marker or of v (v + 1)^(n - 1)
-    # (hot, which marks every step), go to successor.kary_step.  Only
-    # kary_step is looked up on the module, at every call, so a wrapper
-    # installed there sees each call.
-    n, k, L, m = params.n, params.k, params.L, params.m
+    # on a tie.  The symbol is then read from _pcr3_rows, or beyond
+    # k = 256, where k rows of k symbols would not fit, worked out from p
+    # and b as the table's comment says.
+    # A symbol that stands costs one more comparison.  A changed one that
+    # keeps the weight below m stands unless it lands on a marker (only a
+    # candidate of a marker's weight is compared).  A window of weight m
+    # keeps a1 in place of a heavier symbol, as kary_step's weight cap
+    # does.  A step that reaches the cap from below takes the symbol that
+    # makes the weight m, or one less where kary_step would: where the
+    # candidate's period exceeds h, or equals h and joins refuses.  Its
+    # candidate weighs m or m - 1, so it is decided here when no marker
+    # weighs that much and k <= 256, where the candidate is bytes and find
+    # gives its period.  Other steps that reach the cap, and those that
+    # land on a marker, go to kary_step.  Only kary_step is looked up on
+    # the module, at every call, so a wrapper installed there sees each
+    # call.
+    n, k, L, m, h = params.n, params.k, params.L, params.m, params.h
     full = (1 << n) - 1
     top = n - 1
     markers = [list(w) for w in cuts.markers]
     marked = _rotations(cuts, n)
     marker_weights = {sum(w) for w in cuts.markers}
+    rows = _pcr3_rows(n, k) if k <= 256 else None
+    inline = k <= 256 and not {m - 1, m} & marker_weights
     tail_scan = _tail_scanner(n)
-    # The laps, by least and hot, at n <= 64 while they hold fewer than
-    # _LAPS steps in all.  A lap is built as the first visit from its
-    # window walks it, and kept as far as that visit went, so no visit
-    # computes a mark past the step that ends it; a later visit may walk
-    # past the end.  The whole counter run at (10, 4, 1040384) keeps 262
-    # laps of 434 steps, and 5,851 of the 148,379 laps it walks end with
-    # no change.  Keeping whole turns made n = 40..64 10-15% slower, as
-    # most laps there are walked once or twice.  Beyond n = 64 masks
+    # The laps, by least, negated at weight m, at n <= 64 while they hold
+    # fewer than _LAPS steps in all.  A lap is built as the first visit
+    # from its window walks it, and kept as far as that visit went, so no
+    # visit computes a mark past the step that ends it; a later visit may
+    # walk past the end.  The whole counter run at (10, 4, 1040384) keeps
+    # 262 laps of 434 steps, and 5,851 of the 148,379 laps it walks end
+    # with no change.  Keeping whole turns made n = 40..64 10-15% slower,
+    # as most laps there are walked once or twice.  Beyond n = 64 masks
     # seldom repeat, and keeping laps costs more than the hits save
     laps: dict[int, list[tuple[int, int, int, int]]] = {}
     room = _LAPS if n <= 64 else 0  # the lap steps that may still be kept
@@ -457,13 +495,10 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
             ) -> Iterator[tuple[int, int, int, int]]:
         # the marked steps of one turn from a window, each also appended to
         # kept while there is room: its plain rotations before it, its scan
-        # and least after it if the symbol stands.  Step t drops the symbol
-        # at position t, and its tail starts at t + 1, so marks turned by
-        # one hold the steps, MSB = step 0; marks and least turn with each
-        # step walked.  tail_scan reads no bit of the dropped symbol, so
-        # least after the step, shifted by one, serves it
+        # and least after it if the symbol stands.  marks and least turn
+        # with each step walked.  tail_scan reads no bit of the dropped
+        # symbol, so least after the step, shifted by one, serves it
         nonlocal room
-        marks = ((marks << 1) & full) | (marks >> top)
         while marks:
             r = n + 1 - marks.bit_length()  # the plain rotations and the step
             marks = (marks << r) & full
@@ -475,13 +510,14 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
                 room -= 1
             yield entry
 
-    def scan(window: list[int]) -> tuple[int, int]:
-        v = min(window)
-        return v, pack([c == v for c in window])
+    def scan(word: list[int]) -> tuple[int, int, set[int]]:
+        # v, least and the weights a hot window can have while v is least
+        v = min(word)
+        return v, pack([c == v for c in word]), marker_weights | {n * v + top}
 
     seq = list(start)
     w = sum(start)
-    v, least = scan(seq)
+    v, least, hot = scan(seq)
     sizes = _block_sizes(L)
     size = next(sizes)
     i = 0
@@ -489,62 +525,80 @@ def _list_symbols(params: CutParams, cuts: CutSet, start: Word,
         # a rotation of a marker has v = 0 and every other symbol 1, so its
         # 1s are the positions least leaves out.  A lone v in a window of
         # weight n v + n - 1 is v (v + 1)^(n - 1).  So a hot window weighs
-        # n v + n - 1 or a marker's weight, which two tests on small ints
-        # rule out for most windows
-        hot = (w % n == top or w in marker_weights) and (
-            not least & (least - 1) and w == n * v + top
-            or w in marker_weights and w + least.bit_count() == n
-            and full ^ least in marked)
-        key = -least if hot else least
-        steps = laps.get(key)
-        if steps is None:
-            kept: list[tuple[int, int, int, int]] = []
-            if room:
-                laps[key] = kept
-            steps = lap(least, full if hot else _tail_starts(least, n)
-                        if least & (least - 1) else least, kept)
-        for q, later, p, least in steps:  # p: the tail's period, or 0
-            if q:
-                seq += seq[i:i + q]
-                i += q
-            a1 = x = seq[i]
-            while later:
-                b = later.bit_length()  # v at position n - b
-                later ^= 1 << (b - 1)
-                # both start with v, so the next symbols mostly decide
-                suffix, prefix = seq[1 - b], seq[i + 2]
-                if suffix == prefix:
-                    suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
-                    if suffix == prefix:
-                        p = top - b
-                        break
-                if suffix < prefix:
-                    p = 0
-                    break
-            if p:
-                b = seq[-p]
-                c = b if b and n % p == 0 else b + 1
-                x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
-            if x > a1 and w == m and not hot:
-                x = a1  # the weight cap keeps a weight-m window's class
-            if hot or x != a1 and (
-                    w - a1 + x >= m or w - a1 + x in marker_weights
-                    and seq[i + 1:] + [x] in markers):
-                x = successor.kary_step(tuple(seq[i:]), params, cuts, joins)
+        # n v + n - 1 or a marker's weight, the set hot, so that one test
+        # rules out most windows
+        if w in hot and (
+                not least & (least - 1) and w == n * v + top
+                or w in marker_weights and w + least.bit_count() == n
+                and full ^ least in marked):
+            a1 = seq[i]
+            x = successor.kary_step(tuple(seq[i:]), params, cuts, joins)
             seq.append(x)
             i += 1
-            if x != a1:
-                break
+            least = ((least << 1) & full) | (least >> top)
+        else:
+            key = least if w < m or least == full else ~least
+            steps = laps.get(key)
+            if steps is None:
+                kept: list[tuple[int, int, int, int]] = []
+                if room:
+                    laps[key] = kept
+                steps = lap(least, _lap_marks(least, n, key < 0), kept)
+            for q, later, p, least in steps:  # p: the tail's period, or 0
+                if q:
+                    seq += seq[i:i + q]
+                    i += q
+                a1 = x = seq[i]
+                while later:
+                    b = later.bit_length()  # v at position n - b
+                    later ^= 1 << (b - 1)
+                    # both start with v, so the next symbols mostly decide
+                    suffix, prefix = seq[1 - b], seq[i + 2]
+                    if suffix == prefix:
+                        suffix, prefix = seq[-b:], seq[i + 1:i + b + 1]
+                        if suffix == prefix:
+                            p = top - b
+                            break
+                    if suffix < prefix:
+                        p = 0
+                        break
+                if rows:
+                    x = rows[p][seq[-p]][a1]
+                elif p:  # the same symbol beyond k = 256, where rows is None
+                    b = seq[-p]
+                    c = b if b and n % p == 0 else b + 1
+                    x = k - 1 if a1 == c - 1 else a1 - 1 if a1 >= c else a1
+                if x != a1:
+                    u = w - a1 + x  # the weight after the step
+                    if u >= m:
+                        if w == m:
+                            x = a1  # the weight cap keeps the class
+                        elif inline:
+                            x = m - w + a1
+                            cand = bytes(seq[i + 1:] + [x])
+                            q = (cand + cand).find(cand, 1)  # its period
+                            if q > h or q == h and not joins(pack(cand, k)):
+                                x -= 1
+                        else:
+                            x = successor.kary_step(tuple(seq[i:]), params,
+                                                    cuts, joins)
+                    elif u in marker_weights and seq[i + 1:] + [x] in markers:
+                        x = successor.kary_step(tuple(seq[i:]), params, cuts,
+                                                joins)
+                seq.append(x)
+                i += 1
+                if x != a1:
+                    break
         if x != a1:
             w += x - a1
             if x < v:
-                v, least = x, 1
+                v, least, hot = x, 1, marker_weights | {n * x + top}
             elif x == v:
                 least |= 1
             else:
                 least &= ~1
                 if not least:
-                    v, least = scan(seq[i:])
+                    v, least, hot = scan(seq[i:])
         while i >= size:
             yield seq[:size]
             del seq[:size]

@@ -12,9 +12,11 @@ one pass from the start) or ``threshold_join`` (Lyndon word >= tau, where
 tau is unranked when the join is built; stateless), which makes
 ``cut_down_successor`` context-free.  The rule is the readable reference
 for both loops in ``engine``; the k-ary loop also calls it, through this
-module, for its rare steps that reach the weight cap from below or land
-on a marker.  A ``counter_join`` must be driven from a single thread;
-everything else here is safe to share.
+module, for its rare steps on the rotations of a marker or of
+v (v + 1)^(n - 1) and those that can land on a marker, which include the
+steps that reach the weight cap from below where m or m - 1 is a
+marker's weight or k > 256.  A ``counter_join`` must be driven from a
+single thread; everything else here is safe to share.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ inclusion-exclusion sum at every weight, with no complement.
 ``probe_class_mask_reference`` is the class change that
 ``engine._binary_symbols`` computes inline after a necklace probe, and
 ``tail_period_reference`` the plain period search that the k-ary loop of
-``engine`` filters.
+``engine`` filters.  ``changing_windows_reference`` walks a whole target
+cycle with ``kary_step`` and names the windows whose step changes a
+symbol, which the k-ary loop's marks must hold.
 """
 
 from bisect import bisect_left
@@ -24,6 +26,7 @@ from math import comb
 from cutdown.counting import count_weight_at_most, count_weight_period
 from cutdown.cutplan import CutParams
 from cutdown.engine import VerifyReport
+from cutdown.successor import counter_join, kary_step, threshold_join
 
 # full de Bruijn sequence, n=6, k=2, traced from 000000
 DB_N6_K2 = "0000001111110111100111000110110100110000101110101100101010001001"
@@ -199,3 +202,20 @@ def tail_period_reference(window):
             if suffix == prefix:
                 return j
     return len(tail)
+
+
+def changing_windows_reference(params, cuts, mode):
+    """The windows of the cycle that ``engine.generate`` walks for
+    ``params`` in ``mode`` ("counter" or "successor"), as a dict from each
+    window to the symbol ``kary_step`` appends after it, walked once round
+    from the default start, one step after 0^n, with one join decision for
+    the whole walk, as the engine does.  The windows whose symbol differs
+    from their first are those where a step changes a symbol."""
+    joins = (counter_join if mode == "counter" else threshold_join)(params)
+    zero = (0,) * params.n
+    word = zero[1:] + (kary_step(zero, params, cuts, joins),)
+    after = {}
+    for _ in range(params.L):
+        after[word] = kary_step(word, params, cuts, joins)
+        word = word[1:] + (after[word],)
+    return after

@@ -109,6 +109,14 @@ def test_params_text(capsys):
     assert "m" in out and "001001" in out
 
 
+def test_params_at_an_alphabet_of_2_to_the_64(capsys):
+    # bisecting over a range of (k - 1) n + 1 weights raised OverflowError
+    code, out, err = run_cli(capsys, "params", "--n", "2", "--k",
+                             str(2 ** 64), "--len", str(2 ** 64 + 1), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["m"] == 6074000999
+
+
 def test_verify_accepts_reference(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n", "6", "--k", "2",
                            stdin=CUT_N6_L52, monkeypatch=monkeypatch)

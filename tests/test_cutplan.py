@@ -111,6 +111,17 @@ def test_derive_params_is_fast_at_the_low_end_of_a_huge_alphabet(n, k, L,
     assert seconds < 0.05, seconds
 
 
+def test_derive_params_takes_an_alphabet_of_2_to_the_64():
+    # (k - 1) n + 1 = 2^64 + 1 weights overflow a range that bisect takes,
+    # which raised OverflowError; m is found on plain ints
+    k = 2 ** 64
+    params = derive_params(2, k, k + 1)
+    assert (params.m, params.h, params.t, params.s) == (
+        6074000999, 2, 1373026059, 1)
+    assert (count_weight_at_most(params.m - 1, 2, k) < k + 1
+            <= count_weight_at_most(params.m, 2, k))
+
+
 @pytest.mark.parametrize("i, n, expected", [
     (3, 6, "001001"),
     (2, 6, "010101"),

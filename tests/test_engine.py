@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import pickle
+import random
 import sys
 import tempfile
 import time
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cutdown import engine, successor
+from cutdown import count_lyndon, engine, successor, unrank_lyndon
 from cutdown.cutplan import CutParams, CutSet, cut_set, derive_params
 from cutdown.engine import SequenceSpec, VerifyReport, generate, verify
 from cutdown.successor import (
@@ -24,15 +25,24 @@ from cutdown.successor import (
     cut_down_successor,
     kary_step,
     on_target_cycle,
+    pcr3_alt,
     threshold_join,
 )
-from cutdown.words import is_necklace, least_rotation, pack, period
+from cutdown.words import (
+    format_word,
+    is_necklace,
+    least_rotation,
+    pack,
+    period,
+    prenecklace_period,
+)
 
 from refdata import (
     CUT_N6_L46,
     CUT_N6_L52,
     DB_N3_K4,
     DB_N6_K2,
+    changing_windows_reference,
     iterate,
     probe_class_mask_reference,
     tail_period_reference,
@@ -510,11 +520,23 @@ def test_list_loop_caps_weight_m_windows_inline(monkeypatch):
     assert len(calls) <= 50, len(calls)
 
 
-def test_list_loop_reaches_weight_m_and_the_cap_at_wide_n(monkeypatch):
+def reaches_weight_m_and_the_cap(ref, params):
+    # the windows of ref at positions 1 .. len(ref) - n + 1 hold one of
+    # weight m and one of weight below m whose pcr3_alt symbol reaches m:
+    # a step that the weight cap decides from below
+    n, k, m = params.n, params.k, params.m
+    windows = [tuple(ref[j:j + n]) for j in range(len(ref) - n + 1)]
+    return (any(sum(word) == m for word in windows) and any(
+        sum(word) < m <= sum(word) - word[0] + pcr3_alt(word, k)
+        for word in windows))
+
+
+def test_list_loop_reaches_weight_m_and_the_cap_at_wide_n():
     # the first 3000 symbols at (96, 4), L = 4^96 - 4^95 / 3, follow
     # iterated kary_step.  They reach a window of weight m, past the 1000
-    # symbols at random L that the wide-n property test compares, and the
-    # loop hands kary_step steps that reach the weight cap from below
+    # symbols at random L that the wide-n property test compares, and
+    # steps that reach the weight cap from below, which the loop decides
+    # itself
     n, k, count = 96, 4, 3000
     L = k ** n - k ** (n - 1) // 3
     params = derive_params(n, k, L)
@@ -522,23 +544,69 @@ def test_list_loop_reaches_weight_m_and_the_cap_at_wide_n(monkeypatch):
     joins = counter_join(params)
     ref, _ = iterate(start_after_zero(params, cuts, joins),
                      lambda w: kary_step(w, params, cuts, joins), count)
-    calls = []
-    step, alt = successor.kary_step, successor.pcr3_alt
-
-    def counted_step(word, *args):
-        calls.append(word)
-        return step(word, *args)
-
-    monkeypatch.setattr(successor, "kary_step", counted_step)
     head = itertools.islice(generate(SequenceSpec(n, k, L)), count)
     assert list(head) == ref
-    # the weights of the windows at positions 1 .. count - n + 1
-    weights = itertools.accumulate(range(n, count),
-                                   lambda w, j: w + ref[j] - ref[j - n],
-                                   initial=sum(ref[:n]))
-    assert params.m in set(weights)
-    assert any(sum(word) < params.m <= sum(word) - word[0] + alt(word, k)
-               for word in calls)
+    assert reaches_weight_m_and_the_cap(ref, params)
+
+
+def test_list_loop_at_an_alphabet_of_2_to_the_64():
+    # beyond k = 256 the loop works pcr3_alt's symbol out as it goes.  At
+    # (2, 2^64, 2^64 + 1), which derive_params now
+    # takes, the first 2000 symbols alternate 0 with m, m - 1, ..., so two
+    # windows weigh m; the only kary_step call is the default start's
+    k = 2 ** 64
+    params = derive_params(2, k, k + 1)
+    cuts = cut_set(params.s, 2)
+    joins = counter_join(params)
+    ref, _ = iterate(start_after_zero(params, cuts, joins),
+                     lambda w: kary_step(w, params, cuts, joins), 2000)
+    head = itertools.islice(generate(SequenceSpec(2, k, k + 1)), 2000)
+    assert list(head) == ref
+    assert ref[:4] == [0, params.m, 0, params.m - 1]
+
+
+def top_lyndon_start(n, k):
+    # the successor-mode spec at L = k^n - k^(n-1) / 3 that starts at the
+    # largest Lyndon word of length n and weight m: a window of the target
+    # cycle, as every weight-m Lyndon word >= tau is, from which weight-m
+    # windows and steps up to them follow at once
+    L = k ** n - k ** (n - 1) // 3
+    m = derive_params(n, k, L).m
+    start = unrank_lyndon(n, m, count_lyndon(n, m, k), k)
+    return SequenceSpec(n, k, L, "successor", start)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_successor_loop_reaches_weight_m_and_the_cap_at_wide_n(k):
+    # successor mode from the default start meets no window of weight m in
+    # its first 3000 symbols at (96, 3), (96, 4) or (128, 4); from the
+    # largest weight-m Lyndon word the first 3000 follow iterated
+    # cut_down_successor and hold both weight-m windows and steps that
+    # reach the cap from below (24 at k = 3 and 14 at k = 4, each joined)
+    spec = top_lyndon_start(96, k)
+    params = derive_params(spec.n, k, spec.L)
+    cuts = cut_set(params.s, spec.n)
+    assert on_target_cycle(spec.start, params, cuts)
+    ref, _ = iterate(spec.start,
+                     lambda w: cut_down_successor(w, params, cuts), 3000)
+    assert list(itertools.islice(generate(spec), 3000)) == ref
+    assert reaches_weight_m_and_the_cap(ref, params)
+
+
+@pytest.mark.parametrize("n, k", [(4, 257), (4, 300), (5, 300)])
+def test_list_loop_beyond_k_256_follows_the_rule(n, k):
+    # beyond k = 256 the loop builds no table: each marked step works
+    # pcr3_alt's symbol out from p and b, and a step that reaches the cap
+    # from below goes to kary_step.  From the largest weight-m Lyndon word
+    # the first 3000 symbols follow iterated cut_down_successor through
+    # weight-m windows and steps up to them
+    spec = top_lyndon_start(n, k)
+    params = derive_params(n, k, spec.L)
+    cuts = cut_set(params.s, n)
+    ref, _ = iterate(spec.start,
+                     lambda w: cut_down_successor(w, params, cuts), 3000)
+    assert list(itertools.islice(generate(spec), 3000)) == ref
+    assert reaches_weight_m_and_the_cap(ref, params)
 
 
 @pytest.mark.parametrize("mode", ["counter", "successor"])
@@ -674,7 +742,11 @@ def test_benchmark_binary_shapes_pinned(spec, count):
 
 # sha256 of the benchmark's k-ary shape, the whole run at (10, 4) in both
 # modes, and of the first 2 * 10^4 symbols at wide n, L = k^n - k^(n-1) / 3,
-# as emitted before the k-ary loop walked each class by its lap
+# as emitted before the k-ary loop walked each class by its lap; and, as
+# emitted before it read pcr3_alt's symbol from a table, marked less at
+# weight m and decided the weight cap from below itself, the first 10^6
+# at (12, 4), where the cap fires most, more wide prefixes, the whole run
+# at (2, 257), as csv, and two successor runs from top_lyndon_start
 KARY_BENCH_SHA256 = {
     (SequenceSpec(10, 4, 4 ** 10 - 4 ** 10 // 128), None):
         "faf8461381daa04406a01d0bdab05fa3f4e531dd81f6125ab31c2b5275c416db",
@@ -690,15 +762,33 @@ KARY_BENCH_SHA256 = {
         "42199fbee80886556cd2ce744c35bb22f5c97fcc65c1f9890e3dd374b09bc7d1",
     (SequenceSpec(30, 3, 3 ** 30 - 3 ** 29 // 3, "successor"), 2 * 10 ** 4):
         "5f25378d252f25791c5d78b0541bc671e543b2b57a189fcefcf7e79988532ceb",
+    (SequenceSpec(12, 4, 4 ** 12 - 4 ** 11 // 3), 10 ** 6):
+        "3e98a2e86675d92caab22e00bd713940ba01ff41ef7bc636e81875dd63df8af9",
+    (SequenceSpec(64, 4, 4 ** 64 - 4 ** 63 // 3), 2 * 10 ** 4):
+        "b496cb929f761d2fb2966584f8f43c8a79ec8e1a14d869ac9505a544aede1c0a",
+    (SequenceSpec(128, 16, 16 ** 128 - 16 ** 127 // 3), 2 * 10 ** 4):
+        "d03e604b7539dd25c4461ac52b6c2745808b97599a8fea5a1a1141c434f85d45",
+    (SequenceSpec(1024, 4, 4 ** 1024 - 4 ** 1023 // 3), 5 * 10 ** 3):
+        "9198ff4f499e813ca321d48aaa1dcfefdc3267a6f9b3913cbf41889bba4e3c2e",
+    (SequenceSpec(2, 257, 257 ** 2 - 257 // 3), 257 ** 2 - 257 // 3):
+        "3d8d5c3ab1fd7335573165a554f7633be316a55add635f3d7e0e3407b296c727",
+    (top_lyndon_start(96, 3), 3000):
+        "2470adc7062a6b8ecb6ff1a5bd04c333824eaa334f446304a41a7fe4def84f32",
+    (top_lyndon_start(96, 4), 3000):
+        "17c75064db8b72dbf2d5c4ec0310be8b2d4bce2de790f2a87138b97611903405",
 }
 KARY_BENCH_IDS = ["counter-10-4", "successor-10-4", "counter-24-4",
                   "counter-128-4", "counter-512-4", "counter-256-3",
-                  "successor-30-3"]
+                  "successor-30-3", "counter-12-4", "counter-64-4",
+                  "counter-128-16", "counter-1024-4", "counter-2-257",
+                  "successor-96-3", "successor-96-4"]
 
 
 @pytest.mark.parametrize("spec, count", KARY_BENCH_SHA256, ids=KARY_BENCH_IDS)
 def test_benchmark_kary_shapes_pinned(spec, count):
-    head = bytes(itertools.islice(generate(spec), count))
+    symbols = list(itertools.islice(generate(spec), count))
+    head = (bytes(symbols) if spec.k <= 256
+            else format_word(symbols, spec.k).encode())
     assert hashlib.sha256(head).hexdigest() == KARY_BENCH_SHA256[spec, count]
 
 
@@ -951,6 +1041,86 @@ def test_tail_scan_equals_the_plain_period_search():
                         break
                 assert p == tail_period_reference(window), (k, n, window)
     assert windows == 216636
+
+
+def lap_marks_cases():
+    # (k, n, L) for the marks test: every L to k^n <= 1024 at k = 3 and 4,
+    # and at (4, 6), where every L would take about 20 s, the lowest 64 L,
+    # where 29% of the windows weigh m, and every 16th L above them
+    cases = [(k, n, L) for k, n_max in [(3, 6), (4, 5)]
+             for n in range(2, n_max + 1)
+             for L in range(k ** (n - 1) + 1, k ** n + 1)]
+    return cases + [(4, 6, L) for L in range(4 ** 5 + 1, 4 ** 6 + 1)
+                    if L <= 4 ** 5 + 64 or L % 16 == 0]
+
+
+@pytest.mark.parametrize("mode", ["counter", "successor"])
+def test_lap_marks_hold_every_step_that_changes_a_symbol(mode):
+    # at every window of the cycle that generate walks that is not a
+    # rotation of a marker or of v (v + 1)^(n - 1) (hot, every step of which
+    # goes to kary_step), the marks of a lap from there hold step 0 (the
+    # MSB) wherever kary_step changes the symbol.  At weight m the marks
+    # leave out the steps that drop the least symbol, which some windows
+    # here would otherwise mark
+    changed = top_changed = cleared = 0
+    for k, n, L in lap_marks_cases():
+        params = derive_params(n, k, L)
+        cuts = cut_set(params.s, n)
+        full = (1 << n) - 1
+        lone = {(v + 1,) * j + (v,) + (v + 1,) * (n - 1 - j)
+                for v in range(k - 1) for j in range(n)}
+        hot = lone | {w[j:] + w[:j] for w in cuts.markers for j in range(n)}
+        for word, x in changing_windows_reference(params, cuts,
+                                                  mode).items():
+            if word in hot:
+                continue
+            least = pack([c == min(word) for c in word])
+            top_weight = sum(word) == params.m and least != full
+            marks = engine._lap_marks(least, n, top_weight)
+            if x != word[0]:
+                changed += 1
+                top_changed += top_weight
+                assert marks >> (n - 1), (k, n, L, mode, word)
+            elif top_weight and not marks >> (n - 1):
+                cleared += engine._lap_marks(least, n, False) >> (n - 1)
+    assert changed and top_changed and cleared, (changed, top_changed,
+                                                 cleared)
+
+
+def prenecklaces(length, k):
+    # every prenecklace of the length over 0..k-1, by the FKM algorithm
+    # (Fredricksen, Kessler and Maiorana)
+    a = [0] * (length + 1)
+
+    def extend(t, p):
+        if t > length:
+            yield tuple(a[1:])
+            return
+        for c in range(a[t - p], k):
+            a[t] = c
+            yield from extend(t + 1, p if c == a[t - p] else t)
+
+    yield from extend(1, 1)
+
+
+def test_pcr3_rows_equal_pcr3_alt():
+    # every window with k <= 6 and n <= 8 whose tail is a prenecklace, so
+    # every (p, b, a1) that a marked step reads: the table's symbol is
+    # pcr3_alt's; a tail that is no prenecklace (p = 0) keeps a1 at every b
+    windows = 0
+    for k in range(2, 7):
+        for n in range(2, 9):
+            rows = engine._pcr3_rows(n, k)
+            assert len(rows) == n
+            for tail in prenecklaces(n - 1, k):
+                p = prenecklace_period(tail)
+                for a1 in range(k):
+                    window = (a1,) + tail
+                    windows += 1
+                    assert rows[p][window[-p]][a1] == pcr3_alt(window, k)
+            assert all(rows[0][b][a1] == a1 for b in range(k)
+                       for a1 in range(k))
+    assert windows == 488112
 
 
 def test_lone_least_symbol_class_keeps_the_mark_after_it():
